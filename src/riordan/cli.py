@@ -2,8 +2,9 @@
 
 Subcommands: triangle, exp, apply, flow, check.  Output is JSON by
 default (CSV via --format csv); identical invocations produce identical
-bytes.  Exit codes: 0 success or check passed, 1 check failed, 2 usage
-or parse error, 3 exact-mode violation.
+bytes.  Each subcommand takes only the shared flags it reads.  Exit
+codes: 0 success or check passed, 1 check failed, 2 usage or parse error
+or float overflow, 3 exact-mode violation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .lie import (
     exp_monomial,
     exp_truncated_oracle,
 )
-from .flows import ApproachingProblem, check_symmetry, check_time_reversal, project_flow, projected_involution, rk4_integrate
+from .flows import ApproachingProblem, check_symmetry, check_time_reversal, flow_trace, projected_involution
 
 NAMED_TRIANGLES = ("pascal", "identity", "m", "minus-m")
 CHECKS = ("pseudo-involution", "symmetry", "time-reversal", "oracle-exp", "ftrm", "a-sequence")
@@ -46,46 +47,60 @@ def parse_rational_list(text: str) -> list[Fraction]:
 
 
 def emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv" and csv_text is not None:
-        sys.stdout.write(csv_text)
-        return
-    indent = 2 if args.pretty else None
-    sys.stdout.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+    """Write the payload as JSON, or csv_text under --format csv.
+
+    The JSON is built in either format, so that an overflowed float
+    (inf or NaN) is refused rather than printed.
+    """
+    try:
+        indent = 2 if args.pretty else None
+        text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise OverflowError("result is inf or NaN") from None
+    sys.stdout.write(csv_text if args.format == "csv" else text + "\n")
+
+
+#: The flags several subcommands share; each subcommand takes those it reads.
+_SHARED_FLAGS = {
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--trunc": dict(type=int, default=None, help="truncation order"),
+    "--mode": dict(choices=("exact", "float"), default="exact"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--trunc", type=int, default=None, help="truncation order")
-    common.add_argument("--mode", choices=("exact", "float"), default="exact")
-    common.add_argument("--tol", type=float, default=1e-9, help="float-mode tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument("--pretty", action="store_true", help="indent output for humans")
-
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Riordan triangles, Lie-algebra exponentials, and flow checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("triangle", parents=[common], help="print a triangle section")
+    def add_command(name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.add_argument("--pretty", action="store_true", help="indent output for humans")
+        return p
+
+    p = add_command("triangle", "print a triangle section", "--trunc", "--format")
     p.add_argument("name", nargs="?", default=None, help="|".join(NAMED_TRIANGLES))
     p.add_argument("--f", default=None, help="comma-separated coefficients of f")
     p.add_argument("--g", default=None, help="comma-separated coefficients of g")
     p.add_argument("--rows", type=int, default=8)
 
-    p = sub.add_parser("exp", parents=[common], help="one-parameter subgroup member")
+    p = add_command("exp", "one-parameter subgroup member", "--trunc", "--mode", "--format")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", required=True)
 
-    p = sub.add_parser("apply", parents=[common], help="act on a series")
+    p = add_command("apply", "act on a series", "--trunc", "--format")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--gamma", required=True, help="series to act on")
 
-    p = sub.add_parser("flow", parents=[common], help="sample a finite flow")
+    p = add_command("flow", "sample a finite flow", "--mode", "--format")
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
     p.add_argument("--n", type=int, default=1)
@@ -94,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="comma-separated sample times")
     p.add_argument("--rk4", type=int, default=None, metavar="STEPS")
 
-    p = sub.add_parser("check", parents=[common], help="run a named invariant suite")
+    p = add_command("check", "run a named invariant suite", "--trunc", "--seed")
+    p.set_defaults(format="json")
     p.add_argument("what", choices=CHECKS)
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
@@ -154,9 +170,12 @@ def cmd_exp(args) -> int:
     trunc = args.trunc if args.trunc is not None else 8
     payload: dict = {"generator": genr.to_json_dict(), "t": str(t), "trunc": trunc}
     if args.mode == "float" and genr.n == 0:
+        # The section is diagonal with entries e^(t(a + jb)); math.exp raises
+        # OverflowError where an entry is out of float range.
         f0 = math.exp(float((genr.a - genr.b) * t))
         g0 = math.exp(float(-genr.b * t))
-        mat = exp_truncated_oracle(genr.lie_element(trunc), float(t), trunc)
+        diagonal = [math.exp(float(t * (genr.a + j * genr.b))) for j in range(trunc + 1)]
+        mat = TriMatrix.diagonal(diagonal)
         payload.update(
             {"f": [f0], "g": [g0], "matrix": mat.to_json_dict(), "oracle_check": "skipped"}
         )
@@ -215,46 +234,20 @@ def cmd_flow(args) -> int:
     if len(x0) != args.dim:
         raise ValueError(f"--x0 needs {args.dim} components, got {len(x0)}")
     times = parse_rational_list(args.t)
-    as_float = args.mode == "float"
+    if args.mode == "float":
+        x0, times = [float(v) for v in x0], [float(t) for t in times]
 
-    header = ["t"] + [f"x{i}" for i in range(args.dim)]
-    rows = []
-    max_err = 0.0
-    for t in times:
-        if as_float:
-            state = exp_truncated_oracle(problem.lie_element, float(t), problem.n).matvec(
-                [float(v) for v in x0]
-            )
-            values = [float(v) for v in state]
-        else:
-            state = project_flow(problem, x0, t)
-            values = [str(v) for v in state]
-        row = {"t": float(t) if as_float else str(t), "x": values}
-        if args.rk4 is not None:
-            approx = rk4_integrate(problem, x0, float(t), max(args.rk4, 1))
-            row["rk4"] = list(approx)
-            max_err = max(
-                max_err, max(abs(float(e) - v) for e, v in zip(state, approx))
-            )
-        rows.append(row)
-
-    payload = {"header": header, "rows": rows}
-    csv_lines = []
-    csv_header = list(header)
-    if args.rk4 is not None:
-        payload["rk4_steps"] = args.rk4
-        payload["max_error"] = max_err
-        csv_header += [f"rk4_x{i}" for i in range(args.dim)]
-    csv_lines.append(",".join(csv_header))
-    for row in rows:
-        cells = [str(row["t"])] + [str(v) for v in row["x"]]
-        if args.rk4 is not None:
-            cells += [str(v) for v in row["rk4"]]
-        csv_lines.append(",".join(cells))
+    trace = flow_trace(problem, x0, times, args.rk4)
+    rk4_header = [] if args.rk4 is None else [f"rk4_x{i}" for i in range(args.dim)]
+    csv_lines = [",".join(trace["header"] + rk4_header)]
+    for row in trace["rows"]:
+        if args.mode == "exact":  # rationals print as "p/q" strings
+            row["t"], row["x"] = str(row["t"]), [str(v) for v in row["x"]]
+        csv_lines.append(",".join(map(str, [row["t"], *row["x"], *row.get("rk4", ())])))
     csv_text = "\n".join(csv_lines) + "\n"
     if args.rk4 is not None:
-        csv_text += f"# max_error,{max_err}\n"
-    emit(args, payload, csv_text)
+        csv_text += f"# max_error,{trace['max_error']}\n"
+    emit(args, trace, csv_text)
     return 0
 
 
@@ -280,6 +273,11 @@ def cmd_check(args) -> int:
     genr = MonomialGenerator(parse_rational(args.a), parse_rational(args.b), args.n)
     t = parse_rational(args.t)
     depth = args.depth if args.depth is not None else max(args.dim - 1, 1)
+    # Sizes at which a suite would examine no case and pass vacuously.
+    if args.what in ("pseudo-involution", "a-sequence") and depth < 1:
+        raise ValueError(f"--depth must be >= 1, got {depth}")
+    if args.what in ("ftrm", "a-sequence") and args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     passed = True
     counterexample = None
     params: dict = {"seed": args.seed}
@@ -312,6 +310,8 @@ def cmd_check(args) -> int:
 
     elif args.what == "oracle-exp":
         trunc = args.trunc if args.trunc is not None else 12
+        if trunc < 1:
+            raise ValueError(f"--trunc must be >= 1, got {trunc}")
         params.update(genr.to_json_dict() | {"t": str(t), "trunc": trunc})
         closed = exp_monomial(genr, t, trunc).to_matrix(trunc)
         oracle = exp_truncated_oracle(genr.lie_element(trunc), t, trunc)
@@ -374,7 +374,7 @@ def cmd_check(args) -> int:
         "passed": passed,
         "counterexample": counterexample,
     }
-    emit(args, payload, None)
+    emit(args, payload)
     return 0 if passed else 1
 
 
@@ -397,6 +397,9 @@ def main(argv=None) -> int:
         return 3
     except (NotRiordan, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return 2
 
 

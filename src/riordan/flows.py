@@ -16,6 +16,10 @@ from .group import InsufficientTruncation, TriMatrix, involution_m
 from .lie import LieElement, MonomialGenerator, exp_truncated_oracle
 
 _HALF = Fraction(1, 2)
+#: Times at which check_time_reversal cross-checks S e^(tA) = e^(-tA) S.
+_REVERSAL_TIMES = (_HALF, Fraction(1), Fraction(2))
+#: Times at which orbit_symmetric_under cross-checks its closed-form verdict.
+_ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), _HALF, Fraction(1), Fraction(2))
 
 
 class UnsupportedGenerator(ValueError):
@@ -104,51 +108,26 @@ def rk4_integrate(problem: ApproachingProblem, x0, t: float, steps: int):
     return x
 
 
-def equilibria_check(problem: ApproachingProblem, x, tol: float | None = None) -> bool:
-    """True iff A x = 0 (within tol when given, exactly otherwise)."""
+def equilibria_check(problem: ApproachingProblem, x) -> bool:
+    """True iff A x = 0 exactly."""
     x = problem._check_state(x)
-    image = problem.matrix.matvec(x)
-    if tol is None:
-        return all(v == 0 for v in image)
-    return all(abs(v) <= tol for v in image)
+    return all(v == 0 for v in problem.matrix.matvec(x))
 
 
-def check_symmetry(s: TriMatrix, problem: ApproachingProblem, tol: float | None = None) -> bool:
+def check_symmetry(s: TriMatrix, problem: ApproachingProblem) -> bool:
     """S A S^-1 = A, tested as S A = A S to avoid inverting S."""
     a = problem.matrix
-    lhs = s.mul(a)
-    rhs = a.mul(s)
-    if tol is None:
-        return lhs == rhs
-    return lhs.max_abs_diff(rhs) <= tol
+    return s.mul(a) == a.mul(s)
 
 
-def check_time_reversal(
-    s: TriMatrix,
-    problem: ApproachingProblem,
-    times=(_HALF, Fraction(1), Fraction(2)),
-    tol: float | None = None,
-) -> bool:
+def check_time_reversal(s: TriMatrix, problem: ApproachingProblem) -> bool:
     """S A S^-1 = -A, cross-checked at flow level: S e^(tA) = e^(-tA) S."""
     a = problem.matrix
-    lhs = s.mul(a)
-    rhs = a.mul(s).scale(Fraction(-1) if tol is None else -1.0)
-    if tol is None:
-        if lhs != rhs:
-            return False
-    elif lhs.max_abs_diff(rhs) > tol:
+    if s.mul(a) != a.mul(s).scale(Fraction(-1)):
         return False
-    for t in times:
-        forward = problem.flow_matrix(t)
-        backward = problem.flow_matrix(-t)
-        left = s.mul(forward)
-        right = backward.mul(s)
-        if tol is None:
-            if left != right:
-                return False
-        elif left.max_abs_diff(right) > tol:
-            return False
-    return True
+    return all(
+        s.mul(problem.flow_matrix(t)) == problem.flow_matrix(-t).mul(s) for t in _REVERSAL_TIMES
+    )
 
 
 def _orbit_signature(x):
@@ -172,12 +151,7 @@ def _orbit_signature(x):
     return ("parabola", a, c - b * b / a)
 
 
-def orbit_symmetric_under(
-    s: TriMatrix,
-    problem: ApproachingProblem,
-    x0,
-    samples=(Fraction(-2), Fraction(-1), _HALF, Fraction(1), Fraction(2)),
-) -> bool:
+def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool:
     """Does S map the orbit through x0 onto itself?
 
     Closed-form test via complete orbit invariants; the sample times only
@@ -194,7 +168,7 @@ def orbit_symmetric_under(
     sig_y = _orbit_signature(y0)
     same_orbit = (y0 == x0) if sig_x is None else (sig_x == sig_y)
     if same_orbit and sig_x is not None:
-        for t in samples:
+        for t in _ORBIT_SAMPLES:
             moved = s.matvec(project_flow(problem, x0, t))
             assert _orbit_signature(moved) == sig_x
     return same_orbit
@@ -208,20 +182,21 @@ def projected_involution(sign: int, n: int) -> TriMatrix:
 def flow_trace(problem: ApproachingProblem, x0, times, rk4_steps: int | None = None) -> dict:
     """Sample the flow at the given times; optionally pair each row with RK4.
 
-    Returns a dict with a CSV-style header, one row per time, and (when
-    RK4 columns were requested) the max absolute error over all samples.
+    Returns a dict with a CSV-style header and one row ``{"t", "x"}`` per
+    time; when RK4 is requested each row also has ``"rk4"`` and the dict
+    has ``rk4_steps`` and the max absolute error over all samples.
     """
     x0 = problem._check_state(x0)
     header = ["t"] + [f"x{i}" for i in range(problem.dim)]
     rows = []
     max_err = 0.0
     for t in times:
-        exact = project_flow(problem, x0, t)
-        row = {"t": t, "exact": exact}
+        state = project_flow(problem, x0, t)
+        row = {"t": t, "x": state}
         if rk4_steps is not None:
             approx = rk4_integrate(problem, x0, float(t), rk4_steps)
             row["rk4"] = approx
-            max_err = max(max_err, max(abs(float(e) - r) for e, r in zip(exact, approx)))
+            max_err = max(max_err, max(abs(float(e) - r) for e, r in zip(state, approx)))
         rows.append(row)
     out = {"header": header, "rows": rows}
     if rk4_steps is not None:
@@ -230,14 +205,10 @@ def flow_trace(problem: ApproachingProblem, x0, times, rk4_steps: int | None = N
     return out
 
 
-def pseudo_involution_flow_check(
-    genr: MonomialGenerator, t, depth: int, trunc: int | None = None
-) -> bool:
+def pseudo_involution_flow_check(genr: MonomialGenerator, t, depth: int) -> bool:
     """(e^(tL) M)^2 = I at the matrix level, for the series-level subgroup."""
     from .lie import exp_monomial
 
-    if trunc is None:
-        trunc = 2 * depth + 2
-    e = exp_monomial(genr, t, trunc)
-    section = (e * involution_m(1, trunc)).to_matrix(depth)
+    e = exp_monomial(genr, t, 2 * depth + 2)
+    section = (e * involution_m(1, e.trunc)).to_matrix(depth)
     return section.mul(section).is_identity()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -135,11 +136,25 @@ def test_exp_diagonal_float_mode():
     doc = json.loads(out)
     assert doc["f"] == [1.0]
     assert abs(doc["g"][0] - 0.36787944117144233) < 1e-15
-    diag = [doc["matrix"]["rows"][j][j] for j in range(4)]
-    import math
+    rows = doc["matrix"]["rows"]
+    assert [rows[j][j] for j in range(4)] == [math.exp(j + 1) for j in range(4)]
+    assert all(rows[i][j] == 0.0 for i in range(4) for j in range(i))
 
-    for j, value in enumerate(diag):
-        assert abs(value - math.exp(j + 1)) < 1e-11
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "--a", "1", "--b", "1", "--n", "0", "--t", "800", "--mode", "float"],
+        ["exp", "--a", "1", "--b", "1", "--n", "0", "--t=-800", "--mode", "float"],
+        ["exp", "--a", "1", "--b", "1", "--n", "0", "--t", "300", "--trunc", "2", "--mode", "float"],
+        ["flow", "--n", "0", "--dim", "2", "--x0", "1,1", "--t", "800", "--mode", "float"],
+    ],
+)
+def test_float_overflow_is_a_clean_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float overflow") and err.count("\n") == 1
 
 
 # -- apply ------------------------------------------------------------------------------
@@ -234,6 +249,13 @@ def test_flow_wrong_state_length():
     assert code == 2
 
 
+def test_flow_rk4_needs_a_step():
+    code, out, err = run_cli(["flow", "--dim", "2", "--x0", "1,0", "--t", "1", "--rk4", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: steps must be >= 1, got 0\n"
+
+
 # -- check --------------------------------------------------------------------------------
 
 
@@ -280,6 +302,23 @@ def test_check_ftrm_and_a_sequence_suites():
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check", "a-sequence", "--depth", "0"], "--depth"),
+        (["check", "pseudo-involution", "--depth", "0"], "--depth"),
+        (["check", "oracle-exp", "--trunc", "0"], "--trunc"),
+        (["check", "ftrm", "--count", "0"], "--count"),
+        (["check", "a-sequence", "--count", "0"], "--count"),
+    ],
+)
+def test_check_refuses_sizes_that_examine_no_case(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 1, got 0\n"
+
+
 def test_check_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "trace-formula"])
@@ -289,4 +328,27 @@ def test_check_unknown_suite_is_a_usage_error():
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
+    assert exc.value.code == 2
+
+
+TRIANGLE = ["triangle", "pascal", "--rows", "3"]
+EXP = ["exp", "--a", "1", "--b", "1", "--n", "1", "--t", "1"]
+APPLY = ["apply", "--f", "1", "--g", "1,-1", "--gamma", "1"]
+FLOW = ["flow", "--dim", "2", "--x0", "1,0", "--t", "1"]
+CHECK = ["check", "symmetry", "--n", "2", "--dim", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(base + ["--tol", "1e-6"] for base in (TRIANGLE, EXP, APPLY, FLOW, CHECK)),
+        TRIANGLE + ["--mode", "float"],
+        APPLY + ["--seed", "1"],
+        FLOW + ["--trunc", "4"],
+        CHECK + ["--format", "csv"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
     assert exc.value.code == 2

@@ -295,7 +295,7 @@ def test_flow_trace_rows_and_error_summary():
     p = ApproachingProblem.creation(3)
     out = flow_trace(p, (1, 0, 0), [F(0), F(1), F(2)], rk4_steps=400)
     assert out["header"] == ["t", "x0", "x1", "x2"]
-    assert [row["exact"] for row in out["rows"]] == [
+    assert [row["x"] for row in out["rows"]] == [
         (1, 0, 0),
         (1, 1, 1),
         (1, 2, 4),
