@@ -234,6 +234,8 @@ def cmd_flow(args) -> int:
     if len(x0) != args.dim:
         raise ValueError(f"--x0 needs {args.dim} components, got {len(x0)}")
     times = parse_rational_list(args.t)
+    if not times:
+        raise ValueError("--t needs at least one sample time")
     if args.mode == "float":
         x0, times = [float(v) for v in x0], [float(t) for t in times]
 
@@ -278,6 +280,9 @@ def cmd_check(args) -> int:
         raise ValueError(f"--depth must be >= 1, got {depth}")
     if args.what in ("ftrm", "a-sequence") and args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    # The generator lives on subdiagonal n, so a section of dim <= n is all zero.
+    if args.what in ("symmetry", "time-reversal") and args.dim <= genr.n:
+        raise ValueError(f"--dim must be > --n ({genr.n}), got {args.dim}")
     passed = True
     counterexample = None
     params: dict = {"seed": args.seed}

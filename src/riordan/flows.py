@@ -170,7 +170,10 @@ def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool
     if same_orbit and sig_x is not None:
         for t in _ORBIT_SAMPLES:
             moved = s.matvec(project_flow(problem, x0, t))
-            assert _orbit_signature(moved) == sig_x
+            if _orbit_signature(moved) != sig_x:
+                raise RuntimeError(
+                    f"orbit cross-check failed: S maps the point at t={t} off the orbit"
+                )
     return same_orbit
 
 

@@ -5,17 +5,23 @@ coefficients of 1, x, ..., x**N; all arithmetic happens modulo x**(N+1).
 Combining series of different truncation orders truncates to the smaller
 one, so pipelines never silently promote unknown coefficients to zeros.
 
-Coefficients are :class:`fractions.Fraction` throughout.  Floats are
+Coefficients are exact :class:`fractions.Fraction` values at the API:
+``Fps.coeffs`` is a tuple of Fractions in lowest terms.  Floats are
 rejected at construction time: every identity this package cares about is
 exact, and the test suites compare coefficients with zero tolerance.
 Anything that genuinely needs irrational values (diagonal exponentials,
 numerical integration) lives at the matrix level, not here.
+
+The product and the reciprocal do not run on Fractions.  They put each
+operand over the common denominator of its coefficients, run their loops
+on the Python-int numerators, and reduce each output coefficient once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 Rational = Union[Fraction, int, str]
@@ -65,6 +71,22 @@ def as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def _degree(cs: tuple[Fraction, ...]) -> int:
+    """Index of the last nonzero coefficient; -1 if all are zero."""
+    k = len(cs) - 1
+    while k >= 0 and not cs[k]:
+        k -= 1
+    return k
+
+
+def _over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators ``N`` and the least ``D > 0`` with ``cs[i] == N[i] / D``."""
+    d = math.lcm(*[c.denominator for c in cs])
+    if d == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 class Fps:
     """A formal power series truncated at order ``trunc``.
 
@@ -87,6 +109,16 @@ class Fps:
         else:
             del cs[trunc + 1 :]
         self._coeffs = tuple(cs)
+
+    @classmethod
+    def _from_tuple(cls, coeffs: tuple[Fraction, ...]) -> "Fps":
+        """Wrap a non-empty tuple of Fractions this module built, without re-coercing it.
+
+        The truncation order is ``len(coeffs) - 1``.
+        """
+        series = object.__new__(cls)
+        series._coeffs = coeffs
+        return series
 
     # -- constructors ------------------------------------------------
 
@@ -170,16 +202,14 @@ class Fps:
     def __add__(self, other) -> "Fps":
         if isinstance(other, Fps):
             n = self._common(other)
-            return Fps([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)], n)
-        c = as_fraction(other)
-        cs = list(self._coeffs)
-        cs[0] += c
-        return Fps(cs, self.trunc)
+            pairs = zip(self._coeffs[: n + 1], other._coeffs)
+            return Fps._from_tuple(tuple([a + b for a, b in pairs]))
+        return Fps._from_tuple((self._coeffs[0] + as_fraction(other),) + self._coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Fps":
-        return Fps([-c for c in self._coeffs], self.trunc)
+        return Fps._from_tuple(tuple([-c for c in self._coeffs]))
 
     def __sub__(self, other) -> "Fps":
         return self + (-other if isinstance(other, Fps) else -as_fraction(other))
@@ -189,21 +219,32 @@ class Fps:
 
     def scale(self, c: Rational) -> "Fps":
         c = as_fraction(c)
-        return Fps([c * a for a in self._coeffs], self.trunc)
+        return Fps._from_tuple(tuple([c * a for a in self._coeffs]))
 
     def __mul__(self, other) -> "Fps":
         if not isinstance(other, Fps):
             return self.scale(other)
         n = self._common(other)
-        a, b = self._coeffs, other._coeffs
-        out = [_ZERO] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return Fps(out, n)
+        da = _degree(self._coeffs[: n + 1])
+        db = _degree(other._coeffs[: n + 1])
+        if da < 0 or db < 0:
+            return Fps._from_tuple((_ZERO,) * (n + 1))
+        # a_i = A_i / d_a and b_j = B_j / d_b, so c_k = C_k / (d_a d_b) with
+        # C_k = sum A_i B_(k-i) over integers; B is stored reversed so that
+        # each C_k is one dot product of two contiguous slices.
+        a, d_a = _over_common_denominator(self._coeffs[: da + 1])
+        b, d_b = _over_common_denominator(other._coeffs[: db + 1])
+        b.reverse()
+        d = d_a * d_b
+        top = min(n, da + db)
+        out = []
+        for k in range(top + 1):
+            lo = k - db if k > db else 0
+            hi = k if k < da else da
+            c = sum(map(mul, a[lo : hi + 1], b[db - k + lo : db - k + hi + 1]))
+            out.append(Fraction(c, d) if c else _ZERO)
+        out.extend([_ZERO] * (n - top))
+        return Fps._from_tuple(tuple(out))
 
     __rmul__ = __mul__
 
@@ -249,18 +290,27 @@ class Fps:
 
     def reciprocal(self) -> "Fps":
         """Series g with f*g = 1 mod x^(trunc+1); needs f(0) != 0."""
-        f0 = self._coeffs[0]
-        if not f0:
+        if not self._coeffs[0]:
             raise NotAUnit("reciprocal needs a nonzero constant term")
-        inv0 = _ONE / f0
-        out = [inv0]
-        for k in range(1, self.trunc + 1):
-            s = _ZERO
-            for i in range(1, k + 1):
-                if self._coeffs[i]:
-                    s += self._coeffs[i] * out[k - i]
-            out.append(-inv0 * s)
-        return Fps(out, self.trunc)
+        # With f = F/d over integers, H_k = F_0^(k+1) [x^k](1/F) satisfies
+        # H_0 = 1 and H_k = -sum_(i>=1) F_i F_0^(i-1) H_(k-i), all integers;
+        # then g_k = d H_k / F_0^(k+1).
+        f, d = _over_common_denominator(self._coeffs[: _degree(self._coeffs) + 1])
+        f0 = f[0]
+        weights = []
+        power = 1
+        for fi in f[1:]:
+            weights.append(fi * power)
+            power *= f0
+        h = [1]
+        for _ in range(self.trunc):
+            h.append(-sum(map(mul, weights, reversed(h))))
+        out = []
+        power = f0
+        for hk in h:
+            out.append(Fraction(d * hk, power) if hk else _ZERO)
+            power *= f0
+        return Fps._from_tuple(tuple(out))
 
     def compose(self, inner: "Fps") -> "Fps":
         """f(inner(x)) by Horner evaluation; inner must have order >= 1."""

@@ -24,6 +24,18 @@ def poly_mul(a, b, trunc):
     return out
 
 
+def poly_reciprocal(a):
+    """1/a through trunc len(a) - 1, by the Fraction recurrence; needs a[0] != 0."""
+    inv0 = F(1) / a[0]
+    out = [inv0]
+    for k in range(1, len(a)):
+        s = F(0)
+        for i in range(1, k + 1):
+            s += a[i] * out[k - i]
+        out.append(-inv0 * s)
+    return out
+
+
 def poly_exp(a, trunc):
     """sum a^k / k! for a coefficient list with a[0] = 0."""
     assert not a[0]

@@ -256,6 +256,13 @@ def test_flow_rk4_needs_a_step():
     assert err == "error: steps must be >= 1, got 0\n"
 
 
+def test_flow_needs_a_sample_time():
+    code, out, err = run_cli(["flow", "--dim", "2", "--x0", "1,0", "--t", ",", "--rk4", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --t needs at least one sample time\n"
+
+
 # -- check --------------------------------------------------------------------------------
 
 
@@ -317,6 +324,17 @@ def test_check_refuses_sizes_that_examine_no_case(argv, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("what", ["symmetry", "time-reversal"])
+@pytest.mark.parametrize("n,dim", [(2, 2), (3, 1)])
+def test_check_refuses_a_section_the_generator_misses(what, n, dim):
+    # A section of dim <= n is all zero and would pass vacuously.
+    argv = ["check", what, "--a", "1", "--b", "1", "--n", str(n), "--dim", str(dim)]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --dim must be > --n ({n}), got {dim}\n"
 
 
 def test_check_unknown_suite_is_a_usage_error():

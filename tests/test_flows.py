@@ -246,6 +246,23 @@ def test_parabola_orbits():
         assert not orbit_symmetric_under(minus_m, p, (a, b, c))
 
 
+def test_orbit_cross_check_mismatch_raises(monkeypatch):
+    import riordan.flows as flows
+
+    real = flows._orbit_signature
+    calls = []
+
+    def drifting(x):
+        # Genuine for x0 and S x0, then off the orbit for every sample.
+        calls.append(x)
+        return real(x) if len(calls) <= 2 else ("line", F(99))
+
+    monkeypatch.setattr(flows, "_orbit_signature", drifting)
+    p = ApproachingProblem.creation(2)
+    with pytest.raises(RuntimeError, match="orbit cross-check failed"):
+        orbit_symmetric_under(projected_involution(1, 1), p, (F(1), F(0)))
+
+
 def test_orbit_analysis_limited_to_the_creation_family():
     p = monomial_problem(2, 1, 1, 2)
     with pytest.raises(UnsupportedGenerator):

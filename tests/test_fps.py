@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan.fps import (
     CompositionNeedsPositiveOrder,
@@ -17,7 +18,14 @@ from riordan.fps import (
     PowNeedsUnitConstantOne,
 )
 
-from oracles import binomial_series, poly_exp, rand_coeffs, rand_fraction
+from oracles import (
+    binomial_series,
+    poly_exp,
+    poly_mul,
+    poly_reciprocal,
+    rand_coeffs,
+    rand_fraction,
+)
 
 F = Fraction
 
@@ -48,6 +56,8 @@ def test_negative_trunc_rejected():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Fps([0.5], 2)
+    with pytest.raises(TypeError):
+        Fps([0.5])
 
 
 def test_string_coefficients_parse_exactly():
@@ -104,6 +114,76 @@ def test_mul_shifts():
 
 def test_mul_square():
     assert Fps([1, 1], 4) * Fps([1, 1], 4) == Fps([1, 2, 1], 4)
+
+
+# -- product and reciprocal against the Fraction oracles ---------------------
+
+BIG = 2**1000 + 7  # coefficients of 1,000+ bits
+DENSE_64 = rand_coeffs(Random(64), 64, unit=True)
+SPARSE_64 = [F(1), F(-2), F(0), F(1, 3)] + [F(0)] * 61  # degree 3 at trunc 64
+
+DIFFERENTIAL_PAIRS = [
+    ([F(3, 2)], [F(-5, 7)]),  # trunc 0
+    ([F(1, 2), F(-1, 3)], [F(2), F(5, 6)]),  # trunc 1
+    ([F(-1, 4), F(0), F(7, 9)], [F(1, 6), F(-3, 10), F(2, 15)]),  # trunc 2
+    ([0, 0, 0, 0], [F(1, 3), F(2), F(-1), F(5, 4)]),  # zero series
+    ([F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)], [F(-2, 3), 1]),  # different truncs
+    ([F(-1, 6), F(5, -4), F(-7, 10), F(3, 8)], [F(9, -14), F(1, 21), F(-4), F(0)]),
+    ([F(BIG, 3), F(-1, BIG), F(BIG, BIG + 2)], [F(1, BIG), F(BIG), F(-BIG, 5)]),
+    (DENSE_64, SPARSE_64),
+    (SPARSE_64, SPARSE_64),
+]
+
+
+@pytest.mark.parametrize("a,b", DIFFERENTIAL_PAIRS)
+def test_mul_matches_fraction_oracle(a, b):
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    trunc = min(len(a), len(b)) - 1
+    assert (Fps(a) * Fps(b)).coeffs == tuple(poly_mul(a, b, trunc))
+    assert (Fps(b) * Fps(a)).coeffs == tuple(poly_mul(b, a, trunc))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [F(5, 3)],  # trunc 0
+        [F(-2, 7), F(3, 4)],  # trunc 1, negative constant term
+        [F(-1), F(1, 2), F(-1, 3)],  # trunc 2, constant term -1
+        [F(3, 5), F(-1, 6), F(0), F(7, 10), F(-2, 9), F(1, 4)],  # mixed denominators
+        [F(1), F(0), F(0), F(0), F(0)],  # degree 0 at trunc 4
+        [F(BIG, 7), F(-3, BIG), F(1), F(BIG)],  # 1,000+ bit coefficients
+        DENSE_64,
+        SPARSE_64,
+    ],
+)
+def test_reciprocal_matches_fraction_oracle(a):
+    assert Fps(a).reciprocal().coeffs == tuple(poly_reciprocal(a))
+
+
+small_fractions = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 50))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=1, max_size=14),
+    st.lists(small_fractions, min_size=1, max_size=14),
+)
+def test_mul_matches_fraction_oracle_randomized(a, b):
+    trunc = min(len(a), len(b)) - 1
+    assert (Fps(a) * Fps(b)).coeffs == tuple(poly_mul(a, b, trunc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_fractions, min_size=1, max_size=14).filter(lambda a: a[0] != 0))
+def test_reciprocal_matches_fraction_oracle_randomized(a):
+    assert Fps(a).reciprocal().coeffs == tuple(poly_reciprocal(a))
+
+
+def test_kernel_outputs_are_fractions():
+    f = Fps([2, 0, "1/3"], 3)
+    for series in (f * f, f.reciprocal()):
+        assert len(series.coeffs) == 4
+        assert all(type(c) is F for c in series.coeffs)
 
 
 # -- derivative -----------------------------------------------------------
