@@ -18,11 +18,8 @@ from .group import (
     RiordanMatrix,
     TriMatrix,
     involution_m,
-    involution_matrix,
     is_involution,
     is_pseudo_involution,
-    matrix_is_involution,
-    matrix_is_pseudo_involution,
 )
 from .lie import (
     DegenerateColumn,

@@ -313,16 +313,22 @@ class Fps:
         return Fps._from_tuple(tuple(out))
 
     def compose(self, inner: "Fps") -> "Fps":
-        """f(inner(x)) by Horner evaluation; inner must have order >= 1."""
+        """f(inner(x)) by Horner evaluation; inner must have order >= 1.
+
+        Horner starts at the degree of f below the common truncation, so a
+        zero top coefficient costs no product.
+        """
         if inner._coeffs[0]:
             raise CompositionNeedsPositiveOrder(
                 "composition needs an inner series of order >= 1"
             )
         n = self._common(inner)
         g = inner if inner.trunc == n else inner.truncate(n)
-        acc = Fps((self._coeffs[n],), n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g + self._coeffs[k]
+        coeffs = self._coeffs[: n + 1]
+        degree = max((k for k, c in enumerate(coeffs) if c), default=0)
+        acc = Fps((coeffs[degree],), n)
+        for k in range(degree - 1, -1, -1):
+            acc = acc * g + coeffs[k]
         return acc
 
     def compositional_inverse(self) -> "Fps":

@@ -6,12 +6,19 @@ function ``x^j f / g^(j+1)``, so the matrix is lower triangular with the
 geometric progression ``f(0)/g(0)^(j+1)`` on the diagonal.  Products,
 inverses and the action on series all have closed forms at the series
 level; :class:`TriMatrix` holds the finite sections used to cross-check
-them numerically.
+them.
+
+Sections are exact (Fraction entries) everywhere except three places that
+build float sections on purpose: the scaling-and-squaring exponential
+``lie._expm_float``, the integrator ``flows.rk4_integrate`` and the float
+diagonal of the CLI's ``exp --n 0 --mode float``.  A section holds one
+number type throughout, and sections are compared with exact ``==`` only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .fps import Fps
@@ -30,9 +37,9 @@ class InsufficientTruncation(ValueError):
 class TriMatrix:
     """Dense lower-triangular square matrix, stored as ragged rows.
 
-    Entries are exact Fractions or, in float mode, Python floats; the two
-    regimes never mix silently (exact comparisons use ``==``, float
-    comparisons take an explicit tolerance).
+    Entries are all exact Fractions or, for the float sections named in
+    the module docstring, all Python floats.  The arithmetic keeps the
+    entries' type, and equality is exact ``==``.
     """
 
     __slots__ = ("_rows",)
@@ -96,17 +103,12 @@ class TriMatrix:
     def mul(self, other: "TriMatrix") -> "TriMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        a, b = self._rows, other._rows
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(i + 1):
-                s = a[i][j] * b[j][j] * 0  # zero of the right kind
-                for k in range(j, i + 1):
-                    s += a[i][k] * b[k][j]
-                row.append(s)
-            rows.append(row)
-        return TriMatrix(rows)
+        # entry (i, j) is the sum over j <= k <= i of a[i][k] * b[k][j]; a
+        # non-empty sum keeps the entries' type, Fraction or float
+        cols = [[row[j] for row in other._rows[j:]] for j in range(self.dim)]
+        return TriMatrix(
+            [[sum(map(mul, row[j:], cols[j])) for j in range(len(row))] for row in self._rows]
+        )
 
     def add(self, other: "TriMatrix") -> "TriMatrix":
         if self.dim != other.dim:
@@ -132,20 +134,8 @@ class TriMatrix:
             sum(self._rows[i][j] * vec[j] for j in range(i + 1)) for i in range(self.dim)
         )
 
-    def max_abs_diff(self, other: "TriMatrix") -> float:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return max(
-            abs(x - y)
-            for r, s in zip(self._rows, other._rows)
-            for x, y in zip(r, s)
-        )
-
-    def is_identity(self, tol: float | None = None) -> bool:
-        ident = TriMatrix.identity(self.dim)
-        if tol is None:
-            return self == ident
-        return self.max_abs_diff(ident) <= tol
+    def is_identity(self) -> bool:
+        return self == TriMatrix.identity(self.dim)
 
     def as_float(self) -> "TriMatrix":
         return TriMatrix([[float(x) for x in r] for r in self._rows])
@@ -237,11 +227,8 @@ class RiordanMatrix:
         one order of truncation; over-truncate the input when a deep section
         of the inverse is needed.
         """
-        if self.trunc < 1:
-            raise InsufficientTruncation("inverse needs trunc >= 1")
-        xa = self._g.reciprocal().xmul().compositional_inverse()  # x/A
-        a = xa.xdiv().reciprocal()
-        return RiordanMatrix(self._f.compose(xa).reciprocal(), a)
+        xa = self._x_over_a()
+        return RiordanMatrix(self._f.compose(xa).reciprocal(), xa.xdiv().reciprocal())
 
     def apply(self, gamma: Fps) -> Fps:
         """Action on a series: T(f|g)(gamma) = (f/g) * gamma(x/g)."""
@@ -254,10 +241,13 @@ class RiordanMatrix:
         Drives the entry recurrence d(i,j) = sum_k A_k d(i-1, j-1+k); the
         recurrence is tested against this closed form, never used to build it.
         """
+        return self._x_over_a().xdiv().reciprocal()
+
+    def _x_over_a(self) -> Fps:
+        """x/A, the compositional inverse of x/g."""
         if self.trunc < 1:
-            raise InsufficientTruncation("a_sequence needs trunc >= 1")
-        xa = self._g.reciprocal().xmul().compositional_inverse()
-        return xa.xdiv().reciprocal()
+            raise InsufficientTruncation("inverse and a_sequence need trunc >= 1")
+        return self._g.reciprocal().xmul().compositional_inverse()
 
     def to_json_dict(self) -> dict:
         return {"f": self._f.to_dict(), "g": self._g.to_dict(), "trunc": self.trunc}
@@ -273,13 +263,6 @@ def involution_m(sign: int, trunc: int) -> RiordanMatrix:
     raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def involution_matrix(sign: int, dim: int) -> TriMatrix:
-    """Finite section of involution_m, as a diagonal of exact +-1 entries."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return TriMatrix.diagonal([Fraction((-1) ** (j if sign == 1 else j + 1)) for j in range(dim)])
-
-
 def is_involution(r: RiordanMatrix, depth: int) -> bool:
     """True iff the depth-section of R*R is the identity."""
     return (r * r).to_matrix(depth).is_identity()
@@ -288,15 +271,3 @@ def is_involution(r: RiordanMatrix, depth: int) -> bool:
 def is_pseudo_involution(r: RiordanMatrix, depth: int) -> bool:
     """True iff R*M is an involution to the given depth (M = T(-1|-1))."""
     return is_involution(r * involution_m(1, r.trunc), depth)
-
-
-def matrix_is_involution(p: TriMatrix, tol: float | None = None) -> bool:
-    """Matrix-level involution check; tol selects the float regime."""
-    return p.mul(p).is_identity(tol)
-
-
-def matrix_is_pseudo_involution(p: TriMatrix, tol: float | None = None) -> bool:
-    """Matrix-level (P M)^2 = I check, usable on float sections too."""
-    m = involution_matrix(1, p.dim)
-    q = p.mul(m.as_float() if tol is not None else m)
-    return matrix_is_involution(q, tol)

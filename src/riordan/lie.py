@@ -19,6 +19,7 @@ oracle the closed forms are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,21 +243,32 @@ def exp_truncated_oracle(elt: LieElement, t, n: int) -> TriMatrix:
     Zero-diagonal generators with rational t: the section is nilpotent, so
     the finite Taylor sum is exact in rational arithmetic.  Anything else
     falls back to float scaling-and-squaring (entrywise accuracy ~1e-12 at
-    desk scale).
+    desk scale), which raises OverflowError when an entry leaves the float
+    range.
     """
     mat = elt.to_matrix(n)
     if elt.has_zero_diagonal and not isinstance(t, float):
-        scaled = mat.scale(as_fraction(t))
-        acc = TriMatrix.identity(n + 1)
-        term = acc
-        for k in range(1, n + 1):
-            term = term.mul(scaled).scale(Fraction(1, k))
-            acc = acc.add(term)
-        return acc
+        return _taylor(mat.scale(as_fraction(t)), n)
     return _expm_float(mat.as_float().scale(float(t)))
 
 
 _TAYLOR_ORDER = 20
+
+
+def _taylor(scaled: TriMatrix, order: int) -> TriMatrix:
+    """sum scaled^k / k! for k <= order, in the entries' own number type.
+
+    Stops at the first all-zero term, so a nilpotent section pays one
+    product per nonzero power only.
+    """
+    one = type(scaled.entry(0, 0))(1)
+    acc = term = TriMatrix.diagonal([one] * scaled.dim)
+    for k in range(1, order + 1):
+        term = term.mul(scaled).scale(one / k)
+        if not any(map(any, term.rows)):
+            break
+        acc = acc.add(term)
+    return acc
 
 
 def _expm_float(mat: TriMatrix) -> TriMatrix:
@@ -265,14 +277,11 @@ def _expm_float(mat: TriMatrix) -> TriMatrix:
     while norm > 0.5:
         norm /= 2.0
         squarings += 1
-    scaled = mat.scale(0.5**squarings)
-    acc = TriMatrix.identity(mat.dim).as_float()
-    term = acc
-    for k in range(1, _TAYLOR_ORDER + 1):
-        term = term.mul(scaled).scale(1.0 / k)
-        acc = acc.add(term)
+    acc = _taylor(mat.scale(0.5**squarings), _TAYLOR_ORDER)
     for _ in range(squarings):
         acc = acc.mul(acc)
+    if not all(math.isfinite(x) for row in acc.rows for x in row):
+        raise OverflowError("matrix exponential leaves the float range")
     return acc
 
 

@@ -36,6 +36,16 @@ def poly_reciprocal(a):
     return out
 
 
+def poly_compose(a, b, trunc):
+    """a(b(x)) through trunc, by Horner over every coefficient of a; needs b[0] = 0."""
+    assert not b[0]
+    out = [F(0)] * (trunc + 1)
+    for c in reversed(a[: trunc + 1]):
+        out = poly_mul(out, b, trunc)
+        out[0] += c
+    return out
+
+
 def poly_exp(a, trunc):
     """sum a^k / k! for a coefficient list with a[0] = 0."""
     assert not a[0]

@@ -78,6 +78,12 @@ def test_state_length_validated():
         project_flow(ApproachingProblem.creation(3), (1, 0), 1)
 
 
+def test_float_flow_raises_on_overflow():
+    p = monomial_problem(1, 1, 0, 2)
+    with pytest.raises(OverflowError):
+        project_flow(p, (1.0, 1.0), 800.0)
+
+
 # -- RK4 oracle ---------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from riordan.fps import (
 
 from oracles import (
     binomial_series,
+    poly_compose,
     poly_exp,
     poly_mul,
     poly_reciprocal,
@@ -240,6 +241,21 @@ def test_compose_mobius_pair_gives_x():
     g = Fps.x(10) * Fps([1, 1], 10).reciprocal()
     assert f.compose(g) == Fps.x(10)
     assert g.compose(f) == Fps.x(10)
+
+
+@pytest.mark.parametrize(
+    "outer,inner",
+    [
+        ([F(0)] * 9, [F(0), F(1, 2), F(-3)] + [F(0)] * 6),  # zero series
+        ([F(7, 3)] + [F(0)] * 8, [F(0), F(2), F(1, 5)] + [F(0)] * 6),  # constant
+        (SPARSE_64, [F(0), F(1), F(-1, 2)] + [F(0)] * 62),  # degree 3 at trunc 64
+        (SPARSE_64, [F(0), F(-3, 4), F(0), F(5)] + [F(0)] * 7),  # inner trunc 10
+        (rand_coeffs(Random(20), 20, unit=True), rand_coeffs(Random(21), 20, order_one=True)),
+    ],
+)
+def test_compose_matches_fraction_horner_oracle(outer, inner):
+    trunc = min(len(outer), len(inner)) - 1
+    assert Fps(outer).compose(Fps(inner)).coeffs == tuple(poly_compose(outer, inner, trunc))
 
 
 def test_compose_needs_positive_order():

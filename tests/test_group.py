@@ -13,12 +13,10 @@ from riordan.group import (
     RiordanMatrix,
     TriMatrix,
     involution_m,
-    involution_matrix,
     is_involution,
     is_pseudo_involution,
-    matrix_is_involution,
-    matrix_is_pseudo_involution,
 )
+from riordan.flows import projected_involution
 from riordan.lie import LieElement, exp_truncated_oracle
 
 from oracles import (
@@ -254,9 +252,8 @@ def test_exponential_diagonal_is_not_a_pseudo_involution_in_float_mode():
     diag = exp_truncated_oracle(LieElement(Fps.one(6), Fps.one(6)), 1.0, 5)
     for j in range(6):
         assert abs(diag.entry(j, j) - math.exp(j + 1)) < 1e-10
-    assert not matrix_is_pseudo_involution(diag, tol=1e-12)
-    # while the exact alternating diagonal passes the same matrix-level check
-    assert matrix_is_pseudo_involution(involution_matrix(1, 6).as_float(), tol=1e-12)
+    q = diag.mul(projected_involution(1, 5).as_float())
+    assert not q.mul(q).is_identity()
 
 
 def test_conjugation_by_m_preserves_the_riordan_property():
@@ -278,9 +275,31 @@ def test_conjugation_by_m_preserves_the_riordan_property():
 
 
 def test_matrix_involution_checks():
-    assert matrix_is_involution(involution_matrix(1, 5))
-    assert matrix_is_involution(involution_matrix(-1, 5))
-    assert not matrix_is_involution(dense_pascal_section())
+    for sign in (1, -1):
+        p = projected_involution(sign, 4)
+        assert p.mul(p).is_identity()
+    p = dense_pascal_section()
+    assert not p.mul(p).is_identity()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 13])
+def test_trimatrix_mul_matches_dense_oracle(dim):
+    rng = Random(40 + dim)
+    for _ in range(3):
+        a, b = (
+            TriMatrix([rand_coeffs(rng, i) for i in range(dim)]) for _ in range(2)
+        )
+        got = a.mul(b)
+        assert dense(got) == mat_mul(dense(a), dense(b))
+        assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def test_trimatrix_mul_of_floats_stays_float():
+    a = TriMatrix([[0.5], [0.25, 2.0], [-1.0, 0.0, 3.0]])
+    b = TriMatrix([[2.0], [4.0, -0.5], [1.0, 8.0, 0.25]])
+    got = a.mul(b)
+    assert all(type(x) is float for row in got.rows for x in row)
+    assert dense(got) == mat_mul(dense(a), dense(b))
 
 
 def dense_pascal_section():

@@ -304,7 +304,18 @@ def test_float_oracle_agrees_with_exact_on_nilpotent_input():
     l = creation(8)
     exact = exp_truncated_oracle(l, F(3, 2), 6)
     approx = exp_truncated_oracle(l, 1.5, 6)
-    assert exact.as_float().max_abs_diff(approx) < 1e-10
+    diff = max(
+        abs(float(x) - y) for r, s in zip(exact.rows, approx.rows) for x, y in zip(r, s)
+    )
+    assert diff < 1e-10
+
+
+def test_float_oracle_raises_on_overflow():
+    with pytest.raises(OverflowError):
+        exp_truncated_oracle(elem([1], [1], 4), 800.0, 2)
+    # entries e^(-800 (j+1)) underflow to zero, which is finite
+    low = exp_truncated_oracle(elem([1], [1], 4), -800.0, 2)
+    assert all(x == 0.0 for row in low.rows for x in row)
 
 
 # -- recovering the Riordan pair from the exponential ---------------------------------
