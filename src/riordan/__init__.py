@@ -22,7 +22,6 @@ from .group import (
     is_pseudo_involution,
 )
 from .lie import (
-    DegenerateColumn,
     ExactModeIrrational,
     LieElement,
     MonomialGenerator,

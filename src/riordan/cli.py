@@ -29,7 +29,7 @@ from .lie import (
     exp_monomial,
     exp_truncated_oracle,
 )
-from .flows import ApproachingProblem, check_symmetry, check_time_reversal, flow_trace, projected_involution
+from .flows import ApproachingProblem, flow_trace, projected_involution
 
 NAMED_TRIANGLES = ("pascal", "identity", "m", "minus-m")
 CHECKS = ("pseudo-involution", "symmetry", "time-reversal", "oracle-exp", "ftrm", "a-sequence")
@@ -183,8 +183,7 @@ def cmd_exp(args) -> int:
         return 0
     r = exp_monomial(genr, t, trunc)
     mat = r.to_matrix(trunc)
-    oracle = exp_truncated_oracle(genr.lie_element(trunc), t, trunc)
-    ok = mat == oracle
+    ok = _oracle_diff(genr, t, mat) is None
     payload.update(
         {
             "f": r.f.to_dict(),
@@ -264,9 +263,31 @@ def _first_matrix_diff(a: TriMatrix, b: TriMatrix):
     return None
 
 
-def _rand_unit_series(rng: Random, trunc: int) -> Fps:
+def _oracle_diff(genr: MonomialGenerator, t, closed: TriMatrix):
+    """First cell where a closed-form section differs from exp_truncated_oracle."""
+    n = closed.dim - 1
+    return _first_matrix_diff(closed, exp_truncated_oracle(genr.lie_element(n), t, n))
+
+
+def _a_sequence_diff(r: RiordanMatrix, depth: int):
+    """First cell (i, j), 1 <= j <= i <= depth, where d(i,j) = sum_k A_k d(i-1, j-1+k) fails.
+
+    The recurrence is the production-matrix identity: d without its first
+    row and column equals d.principal(depth) times the Toeplitz section of A.
+    """
+    a = r.a_sequence()
+    d = r.to_matrix(depth)
+    toeplitz = TriMatrix([[a[i - j] for j in range(i + 1)] for i in range(depth)])
+    shifted = TriMatrix([row[1:] for row in d.rows[1:]])
+    diff = _first_matrix_diff(shifted, d.principal(depth).mul(toeplitz))
+    if diff:  # back to the indices of d
+        diff["i"], diff["j"] = diff["i"] + 1, diff["j"] + 1
+    return diff
+
+
+def _rand_series(rng: Random, trunc: int, *, unit: bool) -> Fps:
     cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(trunc + 1)]
-    while cs[0] == 0:
+    while unit and cs[0] == 0:
         cs[0] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return Fps(cs, trunc)
 
@@ -283,34 +304,25 @@ def cmd_check(args) -> int:
     # The generator lives on subdiagonal n, so a section of dim <= n is all zero.
     if args.what in ("symmetry", "time-reversal") and args.dim <= genr.n:
         raise ValueError(f"--dim must be > --n ({genr.n}), got {args.dim}")
-    passed = True
     counterexample = None
     params: dict = {"seed": args.seed}
 
     if args.what == "pseudo-involution":
         params.update(genr.to_json_dict() | {"t": str(t), "depth": depth})
-        e = exp_monomial(genr, t, 2 * depth + 2)
-        section = (e * involution_m(1, e.trunc)).to_matrix(depth)
-        square = section.mul(section)
+        em = exp_monomial(genr, t, depth) * involution_m(1, depth)
+        square = (em * em).to_matrix(depth)
         counterexample = _first_matrix_diff(square, TriMatrix.identity(depth + 1))
-        passed = counterexample is None
 
     elif args.what in ("symmetry", "time-reversal"):
-        n_sec = args.dim - 1
+        # S A S^-1 = A (symmetry) or -A (time reversal), tested as S A = +-A S.
         params.update(genr.to_json_dict() | {"dim": args.dim})
-        problem = ApproachingProblem(genr, n_sec)
-        predicate = check_symmetry if args.what == "symmetry" else check_time_reversal
+        a = ApproachingProblem(genr, args.dim - 1).matrix
+        rhs_sign = Fraction(1 if args.what == "symmetry" else -1)
         for sign, label in ((1, "M"), (-1, "-M")):
-            s = projected_involution(sign, n_sec)
-            if not predicate(s, problem):
-                passed = False
-                lhs = s.mul(problem.matrix)
-                rhs = problem.matrix.mul(s)
-                if args.what == "time-reversal":
-                    rhs = rhs.scale(Fraction(-1))
-                counterexample = {"involution": label} | (
-                    _first_matrix_diff(lhs, rhs) or {}
-                )
+            s = projected_involution(sign, args.dim - 1)
+            diff = _first_matrix_diff(s.mul(a), a.mul(s).scale(rhs_sign))
+            if diff:
+                counterexample = {"involution": label} | diff
                 break
 
     elif args.what == "oracle-exp":
@@ -318,27 +330,19 @@ def cmd_check(args) -> int:
         if trunc < 1:
             raise ValueError(f"--trunc must be >= 1, got {trunc}")
         params.update(genr.to_json_dict() | {"t": str(t), "trunc": trunc})
-        closed = exp_monomial(genr, t, trunc).to_matrix(trunc)
-        oracle = exp_truncated_oracle(genr.lie_element(trunc), t, trunc)
-        counterexample = _first_matrix_diff(closed, oracle)
-        passed = counterexample is None
+        counterexample = _oracle_diff(genr, t, exp_monomial(genr, t, trunc).to_matrix(trunc))
 
     elif args.what == "ftrm":
         params.update({"dim": args.dim, "count": args.count})
         rng = Random(args.seed)
-        n_sec = args.dim - 1
+        n_sec, trunc = args.dim - 1, 2 * args.dim
         for case in range(args.count):
-            r = RiordanMatrix(
-                _rand_unit_series(rng, 2 * args.dim), _rand_unit_series(rng, 2 * args.dim)
-            )
-            gamma = Fps(
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * args.dim + 1)],
-                2 * args.dim,
-            )
+            f, g = _rand_series(rng, trunc, unit=True), _rand_series(rng, trunc, unit=True)
+            r = RiordanMatrix(f, g)
+            gamma = _rand_series(rng, trunc, unit=False)
             got = r.apply(gamma).prefix(n_sec)
             want = r.to_matrix(n_sec).matvec(list(gamma.prefix(n_sec)))
             if tuple(got) != tuple(want):
-                passed = False
                 counterexample = {
                     "case": case,
                     "lhs": [str(v) for v in got],
@@ -349,38 +353,23 @@ def cmd_check(args) -> int:
     elif args.what == "a-sequence":
         params.update({"depth": depth, "count": args.count})
         rng = Random(args.seed)
+        trunc = 2 * depth + 2
         for case in range(args.count):
-            r = RiordanMatrix(
-                _rand_unit_series(rng, 2 * depth + 2), _rand_unit_series(rng, 2 * depth + 2)
-            )
-            a = r.a_sequence()
-            section = r.to_matrix(depth)
-            for i in range(1, depth + 1):
-                for j in range(1, i + 1):
-                    total = sum(a[k] * section.entry(i - 1, j - 1 + k) for k in range(i - j + 1))
-                    if section.entry(i, j) != total:
-                        passed = False
-                        counterexample = {
-                            "case": case,
-                            "i": i,
-                            "j": j,
-                            "lhs": str(section.entry(i, j)),
-                            "rhs": str(total),
-                        }
-                        break
-                if not passed:
-                    break
-            if not passed:
+            f, g = _rand_series(rng, trunc, unit=True), _rand_series(rng, trunc, unit=True)
+            r = RiordanMatrix(f, g)
+            diff = _a_sequence_diff(r, depth)
+            if diff:
+                counterexample = {"case": case} | diff
                 break
 
     payload = {
         "check": args.what,
         "params": params,
-        "passed": passed,
+        "passed": counterexample is None,
         "counterexample": counterexample,
     }
     emit(args, payload)
-    return 0 if passed else 1
+    return 0 if counterexample is None else 1
 
 
 COMMANDS = {

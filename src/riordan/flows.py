@@ -10,10 +10,11 @@ a problem, at both the generator and the flow level.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .group import InsufficientTruncation, TriMatrix, involution_m
-from .lie import LieElement, MonomialGenerator, exp_truncated_oracle
+from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
+from .lie import LieElement, MonomialGenerator, exp_monomial, exp_truncated_oracle
 
 _HALF = Fraction(1, 2)
 #: Times at which check_time_reversal cross-checks S e^(tA) = e^(-tA) S.
@@ -82,7 +83,10 @@ def project_flow(problem: ApproachingProblem, x0, t):
 
 
 def rk4_integrate(problem: ApproachingProblem, x0, t: float, steps: int):
-    """Classical fixed-step RK4 for x' = A x, in float arithmetic."""
+    """Classical fixed-step RK4 for x' = A x, in float arithmetic.
+
+    Raises OverflowError when the state leaves the float range.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x0 = problem._check_state(x0)
@@ -105,6 +109,8 @@ def rk4_integrate(problem: ApproachingProblem, x0, t: float, steps: int):
             xi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)
         )
+    if not all(map(math.isfinite, x)):
+        raise OverflowError("RK4 state leaves the float range")
     return x
 
 
@@ -209,9 +215,8 @@ def flow_trace(problem: ApproachingProblem, x0, times, rk4_steps: int | None = N
 
 
 def pseudo_involution_flow_check(genr: MonomialGenerator, t, depth: int) -> bool:
-    """(e^(tL) M)^2 = I at the matrix level, for the series-level subgroup."""
-    from .lie import exp_monomial
+    """(e^(tL) M)^2 = I through the depth-section, for the series-level subgroup.
 
-    e = exp_monomial(genr, t, 2 * depth + 2)
-    section = (e * involution_m(1, e.trunc)).to_matrix(depth)
-    return section.mul(section).is_identity()
+    The section reads only coefficients through depth, so e^(tL) is built there.
+    """
+    return is_pseudo_involution(exp_monomial(genr, t, depth), depth)

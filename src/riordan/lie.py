@@ -38,10 +38,6 @@ class RequiresZeroDiagonal(ValueError):
     """Operation is only exact for generators with zero diagonal."""
 
 
-class DegenerateColumn(ValueError):
-    """Column read back from an exponential does not have order 1."""
-
-
 class LieElement:
     """Pair (chi, alpha) with matrix entries chi[i-j] + j*alpha[i-j]."""
 
@@ -155,17 +151,20 @@ def extract_generator(mat: TriMatrix) -> LieElement:
 
 
 def bracket(left: LieElement, right: LieElement) -> LieElement:
-    """Commutator of the matrix forms, fitted back to a Lie element.
+    """[L1, L2] = (alpha1 D chi2 - alpha2 D chi1, alpha1 D alpha2 - alpha2 D alpha1), D = x d/dx.
 
-    The fit doubles as a structural assertion: the algebra is closed, so a
-    PatternFitFailure here signals a bug, not bad input.
+    L acts as the multiplier chi plus the derivation alpha D.  The result
+    has truncation order min(trunc) - 1, as the sections' commutator has.
     """
-    n = min(left.trunc, right.trunc)
-    if n < 2:
+    n = min(left.trunc, right.trunc) - 1
+    if n < 1:
         raise InsufficientTruncation("bracket needs truncation order >= 2")
-    a = left.to_matrix(n)
-    b = right.to_matrix(n)
-    return extract_generator(a.mul(b).sub(b.mul(a)))
+    chi1, alpha1 = left.chi.truncate(n), left.alpha.truncate(n)
+    chi2, alpha2 = right.chi.truncate(n), right.alpha.truncate(n)
+    return LieElement(
+        alpha1 * chi2.xderiv() - alpha2 * chi1.xderiv(),
+        alpha1 * alpha2.xderiv() - alpha2 * alpha1.xderiv(),
+    )
 
 
 def conj_transport(r: RiordanMatrix, elt: LieElement) -> LieElement:
@@ -299,14 +298,12 @@ def exp_to_riordan(elt: LieElement, t: Rational, trunc: int) -> RiordanMatrix:
     mat = exp_truncated_oracle(elt, as_fraction(t), trunc)
     c0 = Fps([mat.entry(i, 0) for i in range(trunc + 1)], trunc)
     c1 = Fps([mat.entry(i, 1) for i in range(trunc + 1)], trunc)
-    if c1.order() != 1:
-        raise DegenerateColumn("column 1 of the exponential must have order 1")
     g = c0 * c1.xdiv().reciprocal()
     return RiordanMatrix(g * c0, g)
 
 
 def log_unitriangular(mat: TriMatrix) -> TriMatrix:
-    """Exact matrix logarithm of I + N with N nilpotent: sum (-1)^(k+1) N^k / k."""
+    """Exact log of I + N, N nilpotent: sum (-1)^(k+1) N^k / k up to the last nonzero N^k."""
     d = mat.dim
     for i in range(d):
         if mat.entry(i, i) != 1:
@@ -316,5 +313,7 @@ def log_unitriangular(mat: TriMatrix) -> TriMatrix:
     term = nil
     for k in range(2, d):
         term = term.mul(nil)
+        if not any(map(any, term.rows)):
+            break
         acc = acc.add(term.scale(Fraction((-1) ** (k + 1), k)))
     return acc

@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 from riordan.cli import main
+from riordan.fps import Fps
+from riordan.group import RiordanMatrix
+
+from oracles import dense, recurrence_holds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,6 +311,31 @@ def test_check_ftrm_and_a_sequence_suites():
     assert code == 0 and json.loads(out)["passed"] is True
     code, out, _ = run_cli(["check", "a-sequence", "--depth", "8", "--seed", "1", "--count", "5"])
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_check_a_sequence_reports_the_first_failing_cell(monkeypatch):
+    # perturb A_2: the recurrence first fails at row 3 of the first case
+    real = RiordanMatrix.a_sequence
+    seen = []
+
+    def perturbed(self):
+        cs = list(real(self).coeffs)
+        cs[2] += 1
+        seen.append((self, cs))
+        return Fps(cs, len(cs) - 1)
+
+    monkeypatch.setattr(RiordanMatrix, "a_sequence", perturbed)
+    code, out, _ = run_cli(["check", "a-sequence", "--depth", "6", "--seed", "4", "--count", "3"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["counterexample"]["case"] == 0 and len(seen) == 1
+    r, a = seen[0]
+    entries = dense(r.to_matrix(6))
+    held, (i, j) = recurrence_holds(entries, a, 6)
+    assert not held
+    rhs = sum(a[k] * entries[i - 1][j - 1 + k] for k in range(i - j + 1))
+    want = {"case": 0, "i": i, "j": j, "lhs": str(entries[i][j]), "rhs": str(rhs)}
+    assert doc["counterexample"] == want
 
 
 @pytest.mark.parametrize(

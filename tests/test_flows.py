@@ -22,7 +22,7 @@ from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
 from riordan.lie import LieElement, MonomialGenerator
 
-from oracles import rand_coeffs, rand_fraction
+from oracles import dense, mat_identity, mat_mul, nilpotent_exp, rand_coeffs, rand_fraction
 
 F = Fraction
 
@@ -82,6 +82,12 @@ def test_float_flow_raises_on_overflow():
     p = monomial_problem(1, 1, 0, 2)
     with pytest.raises(OverflowError):
         project_flow(p, (1.0, 1.0), 800.0)
+
+
+def test_rk4_raises_on_overflow():
+    p = monomial_problem(1, 1, 1, 4)
+    with pytest.raises(OverflowError):
+        rk4_integrate(p, (1.0,) * 4, 1e200, 1)
 
 
 # -- RK4 oracle ---------------------------------------------------------------
@@ -214,6 +220,22 @@ def test_pseudo_involution_at_flow_level_for_odd_n():
                 MonomialGenerator(F(2), F(3), n), t, depth=8
             )
     assert not pseudo_involution_flow_check(MonomialGenerator(F(1), F(1), 2), F(1), depth=8)
+
+
+def test_pseudo_involution_flow_check_matches_squared_section_oracle():
+    # (e M)^2 = I on dense sections, e from the nilpotent Taylor sum, M = diag(1, -1, 1, ...)
+    rng = Random(47)
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for depth in (n, 6):
+            genr = MonomialGenerator(rand_fraction(rng, zero_ok=False), rand_fraction(rng), n)
+            t = rand_fraction(rng, zero_ok=False)
+            e = nilpotent_exp(dense(genr.lie_element(depth).to_matrix(depth)), t)
+            em = [[x * (-1) ** j for j, x in enumerate(row)] for row in e]  # e M, column signs
+            want = mat_mul(em, em) == mat_identity(depth + 1)
+            assert pseudo_involution_flow_check(genr, t, depth) == want
+            seen.add((n % 2, want))
+    assert seen == {(1, True), (0, False)}
 
 
 # -- orbit geometry -----------------------------------------------------------------

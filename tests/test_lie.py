@@ -116,11 +116,16 @@ def test_bracket_of_diagonal_with_creation_frozen_regression():
 
 
 def test_bracket_closure_on_random_pairs():
+    # oracle: the commutator of the sections, fitted back to a Lie element
     rng = Random(32)
     for _ in range(100):
-        l1 = rand_elem(rng, 10)
-        l2 = rand_elem(rng, 10)
-        bracket(l1, l2)  # must not raise PatternFitFailure
+        l1 = rand_elem(rng, rng.randint(2, 10))
+        l2 = rand_elem(rng, rng.randint(2, 10))
+        n = min(l1.trunc, l2.trunc)
+        a, b = dense(l1.to_matrix(n)), dense(l2.to_matrix(n))
+        want = extract_generator(TriMatrix(mat_sub(mat_mul(a, b), mat_mul(b, a))))
+        got = bracket(l1, l2)
+        assert got == want and got.trunc == n - 1
 
 
 def test_bracket_antisymmetry_and_jacobi_at_matrix_level():
@@ -410,6 +415,22 @@ def test_log_recovers_the_generator_section():
         t = rand_fraction(rng, zero_ok=False)
         recovered = log_unitriangular(exp_truncated_oracle(l, t, 9))
         assert recovered == l.to_matrix(9).scale(t)
+
+
+def test_log_stops_at_the_first_zero_power(monkeypatch):
+    # N = e^A - I has its first nonzero subdiagonal at 3, so N^4 = 0 in dim 10
+    mat = exp_truncated_oracle(MonomialGenerator(1, 1, 3).lie_element(9), F(1), 9)
+    products = []
+    real_mul = TriMatrix.mul
+
+    def counting_mul(self, other):
+        products.append(real_mul(self, other))
+        return products[-1]
+
+    monkeypatch.setattr(TriMatrix, "mul", counting_mul)
+    got = log_unitriangular(mat)
+    assert len(products) == 3 and not any(map(any, products[-1].rows))
+    assert got == MonomialGenerator(1, 1, 3).lie_element(9).to_matrix(9)
 
 
 def test_log_rejects_non_unit_diagonal():

@@ -1,0 +1,46 @@
+"""The package surface: exported names and the `python -m riordan` entry point."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import riordan
+
+SRC = Path(__file__).parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_public_names_are_exactly_the_documented_set():
+    assert set(riordan.__all__) == {
+        # submodules
+        "flows", "fps", "group", "lie",
+        # fps
+        "CompositionNeedsPositiveOrder", "ExpNeedsZeroConstantTerm", "Fps", "INFINITE_ORDER",
+        "InvalidTruncation", "NotAUnit", "NotInvertibleUnderComposition",
+        "PowNeedsUnitConstantOne", "SeriesError", "as_fraction",
+        # group
+        "InsufficientTruncation", "NotRiordan", "RiordanMatrix", "TriMatrix", "involution_m",
+        "is_involution", "is_pseudo_involution",
+        # lie
+        "ExactModeIrrational", "LieElement", "MonomialGenerator", "PatternFitFailure",
+        "RequiresZeroDiagonal", "bracket", "characteristic_solution", "conj_transport",
+        "exp_monomial", "exp_to_riordan", "exp_truncated_oracle", "extract_generator",
+        "log_unitriangular",
+        # flows
+        "ApproachingProblem", "UnsupportedGenerator", "check_symmetry", "check_time_reversal",
+        "equilibria_check", "flow_trace", "orbit_symmetric_under", "project_flow",
+        "projected_involution", "pseudo_involution_flow_check", "rk4_integrate",
+    }
+    assert all(hasattr(riordan, name) for name in riordan.__all__)
+
+
+def test_module_entry_point_prints_the_golden_triangle():
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riordan", "triangle", "pascal", "--rows", "8"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "triangle_pascal_rows8.json").read_bytes()
