@@ -1,5 +1,7 @@
 """Exact arithmetic for the Riordan group, its Lie algebra, and their flows."""
 
+from types import ModuleType as _ModuleType
+
 from .fps import (
     CompositionNeedsPositiveOrder,
     ExpNeedsZeroConstantTerm,
@@ -25,16 +27,11 @@ from .lie import (
     ExactModeIrrational,
     LieElement,
     MonomialGenerator,
-    PatternFitFailure,
-    RequiresZeroDiagonal,
     bracket,
     characteristic_solution,
     conj_transport,
     exp_monomial,
-    exp_to_riordan,
     exp_truncated_oracle,
-    extract_generator,
-    log_unitriangular,
 )
 from .flows import (
     ApproachingProblem,
@@ -52,4 +49,8 @@ from .flows import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

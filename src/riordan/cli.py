@@ -168,6 +168,8 @@ def cmd_exp(args) -> int:
     genr = MonomialGenerator(parse_rational(args.a), parse_rational(args.b), args.n)
     t = parse_rational(args.t)
     trunc = args.trunc if args.trunc is not None else 8
+    if trunc < 0:
+        raise ValueError(f"--trunc must be >= 0, got {trunc}")
     payload: dict = {"generator": genr.to_json_dict(), "t": str(t), "trunc": trunc}
     if args.mode == "float" and genr.n == 0:
         # The section is diagonal with entries e^(t(a + jb)); math.exp raises
@@ -301,6 +303,8 @@ def cmd_check(args) -> int:
         raise ValueError(f"--depth must be >= 1, got {depth}")
     if args.what in ("ftrm", "a-sequence") and args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.what == "ftrm" and args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
     # The generator lives on subdiagonal n, so a section of dim <= n is all zero.
     if args.what in ("symmetry", "time-reversal") and args.dim <= genr.n:
         raise ValueError(f"--dim must be > --n ({genr.n}), got {args.dim}")

@@ -5,7 +5,7 @@ series equation gamma' = L(gamma) into the linear ODE x' = A x on
 R^(n+1).  This module evaluates those flows exactly (nilpotent case) or
 numerically, finds equilibria, and decides whether a given involution is
 a symmetry (S A S^-1 = A) or a time-reversal symmetry (S A S^-1 = -A) of
-a problem, at both the generator and the flow level.
+a problem, at the generator level.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from fractions import Fraction
 from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
 from .lie import LieElement, MonomialGenerator, exp_monomial, exp_truncated_oracle
 
-_HALF = Fraction(1, 2)
-#: Times at which check_time_reversal cross-checks S e^(tA) = e^(-tA) S.
-_REVERSAL_TIMES = (_HALF, Fraction(1), Fraction(2))
 #: Times at which orbit_symmetric_under cross-checks its closed-form verdict.
-_ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), _HALF, Fraction(1), Fraction(2))
+_ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 class UnsupportedGenerator(ValueError):
@@ -127,13 +124,12 @@ def check_symmetry(s: TriMatrix, problem: ApproachingProblem) -> bool:
 
 
 def check_time_reversal(s: TriMatrix, problem: ApproachingProblem) -> bool:
-    """S A S^-1 = -A, cross-checked at flow level: S e^(tA) = e^(-tA) S."""
+    """S A S^-1 = -A, tested as S A = -A S to avoid inverting S.
+
+    In exact arithmetic this gives S e^(tA) = e^(-tA) S for every t.
+    """
     a = problem.matrix
-    if s.mul(a) != a.mul(s).scale(Fraction(-1)):
-        return False
-    return all(
-        s.mul(problem.flow_matrix(t)) == problem.flow_matrix(-t).mul(s) for t in _REVERSAL_TIMES
-    )
+    return s.mul(a) == a.mul(s).scale(Fraction(-1))
 
 
 def _orbit_signature(x):

@@ -144,10 +144,6 @@ class Fps:
             cs[power] = as_fraction(coeff)
         return cls(cs, trunc)
 
-    @classmethod
-    def from_strings(cls, strings: Iterable[str], trunc: int | None = None) -> "Fps":
-        return cls([Fraction(s) for s in strings], trunc)
-
     # -- inspection --------------------------------------------------
 
     @property
@@ -274,14 +270,6 @@ class Fps:
             raise InvalidTruncation("cannot divide a trunc-0 series by x")
         return Fps(self._coeffs[1:], self.trunc - 1)
 
-    def derivative(self) -> "Fps":
-        """Formal derivative; truncation drops by one (floored at zero)."""
-        if self.trunc == 0:
-            return Fps.zero(0)
-        return Fps(
-            [(k + 1) * c for k, c in enumerate(self._coeffs[1:])], self.trunc - 1
-        )
-
     def xderiv(self) -> "Fps":
         """x * f'(x), computed without losing the top coefficient."""
         return Fps([k * c for k, c in enumerate(self._coeffs)], self.trunc)
@@ -384,24 +372,6 @@ class Fps:
                     s2 += f[i] * (k - i + 1) * p[k - i + 1]
             p.append((r * s1 - s2) / (k + 1))
         return Fps(p, self.trunc)
-
-    def __pow__(self, exponent) -> "Fps":
-        if isinstance(exponent, Fraction) and exponent.denominator == 1:
-            exponent = int(exponent)
-        if isinstance(exponent, int):
-            if exponent < 0:
-                return self.reciprocal() ** (-exponent)
-            acc = Fps.one(self.trunc)
-            base = self
-            e = exponent
-            while e:
-                if e & 1:
-                    acc = acc * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return acc
-        return self.pow_rational(exponent)
 
     # -- serialization -----------------------------------------------
 

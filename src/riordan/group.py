@@ -117,13 +117,6 @@ class TriMatrix:
             [[x + y for x, y in zip(r, s)] for r, s in zip(self._rows, other._rows)]
         )
 
-    def sub(self, other: "TriMatrix") -> "TriMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return TriMatrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self._rows, other._rows)]
-        )
-
     def scale(self, c) -> "TriMatrix":
         return TriMatrix([[c * x for x in r] for r in self._rows])
 

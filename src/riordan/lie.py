@@ -26,16 +26,9 @@ from fractions import Fraction
 from .fps import Fps, Rational, as_fraction
 from .group import InsufficientTruncation, RiordanMatrix, TriMatrix
 
-class PatternFitFailure(ValueError):
-    """Matrix does not match the chi/alpha lower-triangular pattern."""
-
 
 class ExactModeIrrational(ValueError):
     """Requested value is irrational and cannot be produced in exact mode."""
-
-
-class RequiresZeroDiagonal(ValueError):
-    """Operation is only exact for generators with zero diagonal."""
 
 
 class LieElement:
@@ -127,27 +120,6 @@ class MonomialGenerator:
 
     def to_json_dict(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "n": self.n}
-
-
-def extract_generator(mat: TriMatrix) -> LieElement:
-    """Recover (chi, alpha) from a matrix in the Lie-algebra pattern.
-
-    chi[k] is read off column 0 and alpha[k] off column 1; every remaining
-    entry is then checked against chi[i-j] + j*alpha[i-j].
-    """
-    d = mat.dim
-    if d < 3:
-        raise ValueError(f"pattern extraction needs dim >= 3, got {d}")
-    chi = [mat.entry(k, 0) for k in range(d)]
-    alpha = [mat.entry(k + 1, 1) - chi[k] for k in range(d - 1)]
-    for i in range(d):
-        for j in range(i + 1):
-            expected = chi[i - j] if j == 0 else chi[i - j] + j * alpha[i - j]
-            if mat.entry(i, j) != expected:
-                raise PatternFitFailure(
-                    f"entry ({i}, {j}) = {mat.entry(i, j)} does not fit the pattern"
-                )
-    return LieElement(Fps(chi, d - 1), Fps(alpha, d - 2))
 
 
 def bracket(left: LieElement, right: LieElement) -> LieElement:
@@ -281,39 +253,4 @@ def _expm_float(mat: TriMatrix) -> TriMatrix:
         acc = acc.mul(acc)
     if not all(math.isfinite(x) for row in acc.rows for x in row):
         raise OverflowError("matrix exponential leaves the float range")
-    return acc
-
-
-def exp_to_riordan(elt: LieElement, t: Rational, trunc: int) -> RiordanMatrix:
-    """Recover T(f|g) from the exponential of a zero-diagonal generator.
-
-    Column 0 of the exponential is the series f/g (the image of 1) and
-    column 1 is x f/g^2 (the image of x), so g = x*c0/c1 and f = g*c0.
-    The result loses one order of truncation to the column division.
-    """
-    if not elt.has_zero_diagonal:
-        raise RequiresZeroDiagonal("exact recovery needs chi(0) = alpha(0) = 0")
-    if trunc < 1:
-        raise InsufficientTruncation("column recovery needs trunc >= 1")
-    mat = exp_truncated_oracle(elt, as_fraction(t), trunc)
-    c0 = Fps([mat.entry(i, 0) for i in range(trunc + 1)], trunc)
-    c1 = Fps([mat.entry(i, 1) for i in range(trunc + 1)], trunc)
-    g = c0 * c1.xdiv().reciprocal()
-    return RiordanMatrix(g * c0, g)
-
-
-def log_unitriangular(mat: TriMatrix) -> TriMatrix:
-    """Exact log of I + N, N nilpotent: sum (-1)^(k+1) N^k / k up to the last nonzero N^k."""
-    d = mat.dim
-    for i in range(d):
-        if mat.entry(i, i) != 1:
-            raise ValueError("matrix logarithm needs a unit diagonal")
-    nil = mat.sub(TriMatrix.identity(d))
-    acc = nil
-    term = nil
-    for k in range(2, d):
-        term = term.mul(nil)
-        if not any(map(any, term.rows)):
-            break
-        acc = acc.add(term.scale(Fraction((-1) ** (k + 1), k)))
     return acc

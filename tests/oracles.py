@@ -130,6 +130,20 @@ def nilpotent_exp(a, t):
     return acc
 
 
+def log_unitriangular(a):
+    """log(I + N) = sum_(1 <= k < dim) (-1)^(k+1) N^k / k for an exact unit lower-triangular a."""
+    dim = len(a)
+    if any(a[i][i] != 1 for i in range(dim)):
+        raise ValueError("matrix logarithm needs a unit diagonal")
+    nil = mat_sub(a, mat_identity(dim))
+    acc = [[F(0)] * dim for _ in range(dim)]
+    power = mat_identity(dim)
+    for k in range(1, dim):
+        power = mat_mul(power, nil)
+        acc = mat_sub(acc, mat_scale(power, F((-1) ** k, k)))
+    return acc
+
+
 def dense(trimatrix):
     """TriMatrix -> dense list-of-lists with explicit zeros above the diagonal."""
     d = trimatrix.dim
@@ -137,6 +151,41 @@ def dense(trimatrix):
         [trimatrix.entry(i, j) for j in range(d)]
         for i in range(d)
     ]
+
+
+# -- routes from a dense section back to series --------------------------
+
+
+def extract_generator(a):
+    """(chi, alpha) of a dense section in the Lie pattern chi[i-j] + j*alpha[i-j].
+
+    chi is read off column 0 and alpha off column 1, and every entry is
+    then checked against the pattern.  Both lists have dim - 1 entries:
+    column 1 pins alpha only through x^(dim-2).
+    """
+    dim = len(a)
+    if dim < 3:
+        raise ValueError(f"pattern extraction needs dim >= 3, got {dim}")
+    chi = [a[k][0] for k in range(dim)]
+    alpha = [a[k + 1][1] - chi[k] for k in range(dim - 1)]
+    for i in range(dim):
+        for j in range(1, i + 1):
+            if a[i][j] != chi[i - j] + j * alpha[i - j]:
+                raise ValueError(f"entry ({i}, {j}) = {a[i][j]} does not fit the pattern")
+    return chi[: dim - 1], alpha
+
+
+def riordan_from_columns(a):
+    """(f, g) of the Riordan matrix whose dense section is a, through x^(dim-2).
+
+    Column 0 is f/g (the image of 1) and column 1 is x f/g^2 (the image
+    of x), so g = x c0/c1 and f = g c0; the division by x costs one order.
+    """
+    trunc = len(a) - 2
+    c0 = [row[0] for row in a]
+    c1_over_x = [row[1] for row in a[1:]]
+    g = poly_mul(c0, poly_reciprocal(c1_over_x), trunc)
+    return poly_mul(g, c0, trunc), g
 
 
 def solve_a_sequence(entries, depth):

@@ -161,6 +161,14 @@ def test_float_overflow_is_a_clean_usage_error(argv):
     assert err.startswith("error: float overflow") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode,n", [("float", "0"), ("exact", "0"), ("exact", "1")])
+def test_exp_refuses_a_negative_truncation(mode, n):
+    # refused before either branch builds a section
+    argv = ["exp", "--a", "1", "--b", "1", "--n", n, "--t", "1", "--trunc", "-1", "--mode", mode]
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", "error: --trunc must be >= 0, got -1\n")
+
+
 # -- apply ------------------------------------------------------------------------------
 
 
@@ -346,13 +354,15 @@ def test_check_a_sequence_reports_the_first_failing_cell(monkeypatch):
         (["check", "oracle-exp", "--trunc", "0"], "--trunc"),
         (["check", "ftrm", "--count", "0"], "--count"),
         (["check", "a-sequence", "--count", "0"], "--count"),
+        (["check", "ftrm", "--dim", "0"], "--dim"),
+        (["check", "ftrm", "--dim", "-3"], "--dim"),
     ],
 )
 def test_check_refuses_sizes_that_examine_no_case(argv, flag):
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: {flag} must be >= 1, got 0\n"
+    assert err == f"error: {flag} must be >= 1, got {argv[argv.index(flag) + 1]}\n"
 
 
 @pytest.mark.parametrize("what", ["symmetry", "time-reversal"])
