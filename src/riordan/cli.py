@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="indent output for humans")
         return p
 
-    p = add_command("triangle", "print a triangle section", "--trunc", "--format")
+    p = add_command("triangle", "print a triangle section", "--format")
     p.add_argument("name", nargs="?", default=None, help="|".join(NAMED_TRIANGLES))
     p.add_argument("--f", default=None, help="comma-separated coefficients of f")
     p.add_argument("--g", default=None, help="comma-separated coefficients of g")
@@ -136,21 +136,18 @@ def cmd_triangle(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
     n = args.rows - 1
-    trunc = max(args.trunc if args.trunc is not None else 0, n)
     if args.name is None:
         if args.f is None or args.g is None:
             raise ValueError("give a triangle name or both --f and --g")
-        r = RiordanMatrix(
-            Fps(parse_rational_list(args.f), trunc), Fps(parse_rational_list(args.g), trunc)
-        )
+        r = RiordanMatrix(Fps(parse_rational_list(args.f), n), Fps(parse_rational_list(args.g), n))
     elif args.name == "pascal":
-        r = RiordanMatrix.pascal(trunc)
+        r = RiordanMatrix.pascal(n)
     elif args.name == "identity":
-        r = RiordanMatrix.identity(trunc)
+        r = RiordanMatrix.identity(n)
     elif args.name == "m":
-        r = involution_m(1, trunc)
+        r = involution_m(1, n)
     elif args.name == "minus-m":
-        r = involution_m(-1, trunc)
+        r = involution_m(-1, n)
     else:
         raise ValueError(f"unknown triangle {args.name!r}; expected one of {NAMED_TRIANGLES}")
     mat = r.to_matrix(n)
@@ -170,8 +167,10 @@ def cmd_exp(args) -> int:
     trunc = args.trunc if args.trunc is not None else 8
     if trunc < 0:
         raise ValueError(f"--trunc must be >= 0, got {trunc}")
+    if args.mode == "float" and genr.n != 0:
+        raise ValueError(f"--mode float needs --n 0 (a diagonal section), got --n {genr.n}")
     payload: dict = {"generator": genr.to_json_dict(), "t": str(t), "trunc": trunc}
-    if args.mode == "float" and genr.n == 0:
+    if args.mode == "float":
         # The section is diagonal with entries e^(t(a + jb)); math.exp raises
         # OverflowError where an entry is out of float range.
         f0 = math.exp(float((genr.a - genr.b) * t))
@@ -298,6 +297,8 @@ def cmd_check(args) -> int:
     genr = MonomialGenerator(parse_rational(args.a), parse_rational(args.b), args.n)
     t = parse_rational(args.t)
     depth = args.depth if args.depth is not None else max(args.dim - 1, 1)
+    if args.trunc is not None and args.what != "oracle-exp":
+        raise ValueError("--trunc is read only by check oracle-exp")
     # Sizes at which a suite would examine no case and pass vacuously.
     if args.what in ("pseudo-involution", "a-sequence") and depth < 1:
         raise ValueError(f"--depth must be >= 1, got {depth}")

@@ -12,9 +12,9 @@ exact, and the test suites compare coefficients with zero tolerance.
 Anything that genuinely needs irrational values (diagonal exponentials,
 numerical integration) lives at the matrix level, not here.
 
-The product and the reciprocal do not run on Fractions.  They put each
-operand over the common denominator of its coefficients, run their loops
-on the Python-int numerators, and reduce each output coefficient once.
+The product and the reciprocal run their loops on the Python-int numerators
+over one common denominator and reduce each output coefficient once.  ``exp``
+and rational powers share one first-order recurrence (J. C. P. Miller's).
 """
 
 from __future__ import annotations
@@ -175,9 +175,6 @@ class Fps:
             raise IndexError(f"prefix through {upto} exceeds trunc {self.trunc}")
         return self._coeffs[: upto + 1]
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fps):
             return NotImplemented
@@ -337,41 +334,35 @@ class Fps:
             out[k] = power[k - 1] / k
         return Fps(out, self.trunc)
 
+    def _first_order(self, u: Fraction, v: int) -> "Fps":
+        """The p with p(0) = 1 and (1 + v (f - f(0))) p' = u f' p, by J. C. P. Miller's
+        recurrence ``k p_k = sum_(i>=1) (u i - v (k - i)) f_i p_(k-i)`` (Knuth, TAOCP
+        vol. 2, sec. 4.7) over the nonzero terms, with integer weights over u's denominator."""
+        terms = [(i, c) for i, c in enumerate(self._coeffs) if i and c]
+        un, ud = u.numerator, u.denominator
+        p = [_ONE]
+        for k in range(1, self.trunc + 1):
+            s = _ZERO
+            for i, c in terms:
+                if i > k:
+                    break
+                if p[k - i]:
+                    s += (un * i - v * ud * (k - i)) * c * p[k - i]
+            p.append(s / (ud * k))
+        return Fps._from_tuple(tuple(p))
+
     def exp(self) -> "Fps":
-        """sum f^k / k!; requires a zero constant term."""
+        """sum f^k / k!, the solution of p' = f' p; requires a zero constant term."""
         if self._coeffs[0]:
             raise ExpNeedsZeroConstantTerm("exp needs a series of order >= 1")
-        acc = Fps.one(self.trunc)
-        term = Fps.one(self.trunc)
-        for k in range(1, self.trunc + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
+        return self._first_order(_ONE, 0)
 
     def pow_rational(self, r: Rational) -> "Fps":
-        """f**r for rational r, with f(0) = 1.
-
-        Solves f * p' = r * f' * p coefficientwise with p(0) = 1, which
-        pins down the principal branch exactly.
-        """
+        """f**r for rational r, with f(0) = 1: the principal branch, f p' = r f' p."""
         r = as_fraction(r)
         if self._coeffs[0] != 1:
             raise PowNeedsUnitConstantOne("rational power needs constant term 1")
-        f = self._coeffs
-        p = [_ONE]
-        for k in range(self.trunc):
-            s1 = _ZERO
-            for i in range(k + 1):
-                if f[i + 1]:
-                    s1 += (i + 1) * f[i + 1] * p[k - i]
-            s2 = _ZERO
-            for i in range(1, k + 1):
-                if f[i]:
-                    s2 += f[i] * (k - i + 1) * p[k - i + 1]
-            p.append((r * s1 - s2) / (k + 1))
-        return Fps(p, self.trunc)
+        return self._first_order(r, 1)
 
     # -- serialization -----------------------------------------------
 

@@ -61,6 +61,18 @@ def poly_exp(a, trunc):
     return acc
 
 
+def poly_pow_rational(a, r):
+    """a^r through trunc len(a) - 1 for a[0] = 1, by two Fraction sums over a p' = r a' p."""
+    assert a[0] == 1
+    r = F(r)
+    p = [F(1)]
+    for k in range(len(a) - 1):
+        s1 = sum((F(i + 1) * a[i + 1] * p[k - i] for i in range(k + 1)), F(0))
+        s2 = sum((a[i] * (k - i + 1) * p[k - i + 1] for i in range(1, k + 1)), F(0))
+        p.append((r * s1 - s2) / (k + 1))
+    return p
+
+
 def binom(r, k):
     """Generalized binomial coefficient C(r, k) for rational r."""
     r = F(r)

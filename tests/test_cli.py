@@ -1,14 +1,16 @@
 """CLI behaviour: golden outputs, exit codes, formats."""
 
+import argparse
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from riordan.cli import main
+from riordan.cli import build_parser, main
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix
 
@@ -161,12 +163,21 @@ def test_float_overflow_is_a_clean_usage_error(argv):
     assert err.startswith("error: float overflow") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("mode,n", [("float", "0"), ("exact", "0"), ("exact", "1")])
+@pytest.mark.parametrize("mode,n", [("float", "0"), ("float", "1"), ("exact", "0"), ("exact", "1")])
 def test_exp_refuses_a_negative_truncation(mode, n):
     # refused before either branch builds a section
     argv = ["exp", "--a", "1", "--b", "1", "--n", n, "--t", "1", "--trunc", "-1", "--mode", mode]
     code, out, err = run_cli(argv)
     assert (code, out, err) == (2, "", "error: --trunc must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_exp_float_mode_needs_a_diagonal_generator(n):
+    # Only the n = 0 section has a float-only exponential; n >= 1 is exact.
+    argv = ["exp", "--a", "1", "--b", "1", "--n", n, "--t", "1", "--trunc", "2", "--mode", "float"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --mode float needs --n 0 (a diagonal section), got --n {n}\n"
 
 
 # -- apply ------------------------------------------------------------------------------
@@ -376,6 +387,22 @@ def test_check_refuses_a_section_the_generator_misses(what, n, dim):
     assert err == f"error: --dim must be > --n ({n}), got {dim}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "pseudo-involution", "--depth", "3"],
+        ["check", "symmetry", "--n", "2", "--dim", "4"],
+        ["check", "time-reversal", "--dim", "4"],
+        ["check", "ftrm", "--dim", "3", "--count", "1"],
+        ["check", "a-sequence", "--depth", "2", "--count", "1"],
+    ],
+)
+def test_check_refuses_trunc_outside_oracle_exp(argv):
+    code, out, err = run_cli(argv + ["--trunc", "3"])
+    assert (code, out, err) == (2, "", "error: --trunc is read only by check oracle-exp\n")
+    assert run_cli(argv)[0] == 0
+
+
 def test_check_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "trace-formula"])
@@ -403,9 +430,27 @@ CHECK = ["check", "symmetry", "--n", "2", "--dim", "3"]
         APPLY + ["--seed", "1"],
         FLOW + ["--trunc", "4"],
         CHECK + ["--format", "csv"],
+        TRIANGLE + ["--trunc", "5"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_refused(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
+
+
+def test_readme_flag_table_lists_exactly_the_flags_each_subcommand_takes():
+    (commands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    taken = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in commands.items()
+    }
+    documented = {name: set() for name in commands}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    for flag_cell, command_cell in re.findall(r"^\| (`--.*) \| (.*) \|$", readme, re.M):
+        names = set(commands) if command_cell == "all" else re.findall(r"`([\w-]+)`", command_cell)
+        for name in set(names) & set(commands):  # skips suite names such as `oracle-exp`
+            documented[name].update(re.findall(r"`(--[\w-]+)", flag_cell))
+    assert documented == taken

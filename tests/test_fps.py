@@ -23,6 +23,7 @@ from oracles import (
     poly_compose,
     poly_exp,
     poly_mul,
+    poly_pow_rational,
     poly_reciprocal,
     rand_coeffs,
     rand_fraction,
@@ -90,7 +91,7 @@ def test_add():
 
 def test_sub_self_is_zero():
     f = Fps([1, 1], 3)
-    assert (f - f).is_zero()
+    assert f - f == Fps.zero(f.trunc)
 
 
 def test_scale():
@@ -195,7 +196,7 @@ def test_derivative():
 
 
 def test_derivative_of_constant():
-    assert Fps([5], 3).xderiv().is_zero()
+    assert Fps([5], 3).xderiv() == Fps.zero(3)
 
 
 def test_derivative_of_cube():
@@ -337,6 +338,103 @@ def test_pow_half_matches_binomial_series_oracle():
 def test_pow_needs_unit_one():
     with pytest.raises(PowNeedsUnitConstantOne):
         Fps([2, 1], 3).pow_rational(F(1, 2))
+
+
+# -- exp and rational powers: one recurrence against the Fraction oracles --------
+
+EXP_INPUTS = [
+    [F(0)],  # trunc 0
+    [F(0), F(3, 2)],  # trunc 1
+    [F(0)] * 6,  # the zero series
+    [F(0), F(0), F(0), F(-5, 3)] + [F(0)] * 9,  # monomial
+    [F(0), F(1, 2), F(-1, 3), F(0), F(7, 9), F(-2, 5)],
+    [F(0), F(BIG, 3), F(-1, BIG), F(BIG, BIG + 2)],  # 1,000+ bit coefficients
+    [F(0)] + DENSE_64[1:],
+    [F(0)] + SPARSE_64[1:],
+]
+
+
+@pytest.mark.parametrize("a", EXP_INPUTS)
+def test_exp_matches_taylor_oracle(a):
+    assert Fps(a).exp().coeffs == tuple(poly_exp(a, len(a) - 1))
+
+
+POW_INPUTS = [
+    [F(1)],  # trunc 0
+    [F(1), F(-2, 3)],  # trunc 1
+    [F(1), F(1, 2), F(-1, 3), F(0), F(7, 9), F(-2, 5)],
+    [F(1), F(BIG, 3), F(-1, BIG), F(BIG)],  # 1,000+ bit coefficients
+    [F(1)] + DENSE_64[1:],
+    SPARSE_64[:1] + [F(0)] * 64,  # degree 0 at trunc 64
+    [F(1), F(-2), F(0), F(1, 3)] + [F(0)] * 61,
+]
+
+
+@pytest.mark.parametrize("r", [F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(7, 3)])
+@pytest.mark.parametrize("a", POW_INPUTS)
+def test_pow_rational_matches_double_sum_oracle(a, r):
+    assert Fps(a).pow_rational(r).coeffs == tuple(poly_pow_rational(a, r))
+
+
+@pytest.mark.parametrize("a", POW_INPUTS)
+def test_pow_rational_minus_one_and_half(a):
+    f = Fps(a)
+    assert f.pow_rational(-1) == f.reciprocal()
+    assert f.pow_rational(0) == Fps.one(f.trunc)
+    assert f.pow_rational(1) == f
+    root = f.pow_rational(F(1, 2))
+    assert root * root == f
+
+
+@pytest.mark.parametrize(
+    "c,n,trunc", [(F(6), 2, 64), (F(-1, 3), 1, 20), (F(5, 2), 5, 33), (F(2), 7, 6)]
+)
+@pytest.mark.parametrize("r", [F(-3, 4), F(1, 2), F(-1), F(5, 3)])
+def test_pow_rational_of_sparse_binomial(c, n, trunc, r):
+    # (1 - c x^n)^r has nonzero coefficients only at multiples of n.
+    got = (Fps.one(trunc) - Fps.monomial(c, n, trunc)).pow_rational(r)
+    assert list(got.coeffs) == binomial_series(-c, n, r, trunc)
+
+
+def test_exp_and_pow_rational_do_not_multiply_series(monkeypatch):
+    calls = []
+    product = Fps.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Fps, "__mul__", counted)
+    monkeypatch.setattr(Fps, "__rmul__", counted)
+    Fps([0] + DENSE_64[1:]).exp()
+    Fps.monomial(F(3, 2), 2, 64).exp()
+    Fps([1] + DENSE_64[1:]).pow_rational(F(-3, 4))
+    assert calls == []
+
+
+def test_exp_and_pow_rational_match_oracles_on_seeded_inputs():
+    rng = Random(7)
+    for _ in range(150):
+        trunc = rng.randint(0, 16)
+        cs = [rand_fraction(rng) if rng.random() < 0.6 else F(0) for _ in range(trunc + 1)]
+        r = F(rng.randint(-9, 9), rng.randint(1, 6))
+        a, b = [F(0)] + cs[1:], [F(1)] + cs[1:]
+        assert Fps(a).exp().coeffs == tuple(poly_exp(a, trunc))
+        assert Fps(b).pow_rational(r).coeffs == tuple(poly_pow_rational(b, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_fractions, min_size=0, max_size=13))
+def test_exp_matches_taylor_oracle_randomized(tail):
+    a = [F(0)] + tail
+    assert Fps(a).exp().coeffs == tuple(poly_exp(a, len(a) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_fractions, min_size=0, max_size=13), small_fractions)
+def test_pow_rational_matches_double_sum_oracle_randomized(tail, r):
+    a = [F(1)] + tail
+    assert Fps(a).pow_rational(r).coeffs == tuple(poly_pow_rational(a, r))
 
 
 # -- algebraic laws on seeded random series --------------------------------------

@@ -101,7 +101,7 @@ def test_diagonal_action_scales():
 def test_self_bracket_vanishes():
     h = creation(6)
     b = bracket(h, h)
-    assert b.chi.is_zero() and b.alpha.is_zero()
+    assert not any(b.chi.coeffs) and not any(b.alpha.coeffs)
 
 
 def test_bracket_of_first_two_subdiagonal_elements():
