@@ -123,9 +123,7 @@ class TriMatrix:
     def matvec(self, vec: Sequence) -> tuple:
         if len(vec) != self.dim:
             raise ValueError("vector length must match matrix dimension")
-        return tuple(
-            sum(self._rows[i][j] * vec[j] for j in range(i + 1)) for i in range(self.dim)
-        )
+        return tuple(sum(map(mul, row, vec)) for row in self._rows)
 
     def is_identity(self) -> bool:
         return self == TriMatrix.identity(self.dim)

@@ -156,6 +156,22 @@ def log_unitriangular(a):
     return acc
 
 
+def rk4_stages(a, x0, t, steps):
+    """Classical RK4 for x' = a x on a dense float matrix, stage by stage."""
+    h = float(t) / steps
+    x = [float(v) for v in x0]
+    for _ in range(steps):
+        k1 = mat_vec(a, x)
+        k2 = mat_vec(a, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
+        k3 = mat_vec(a, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
+        k4 = mat_vec(a, [xi + h * ki for xi, ki in zip(x, k3)])
+        x = [
+            xi + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            for xi, a1, a2, a3, a4 in zip(x, k1, k2, k3, k4)
+        ]
+    return x
+
+
 def dense(trimatrix):
     """TriMatrix -> dense list-of-lists with explicit zeros above the diagonal."""
     d = trimatrix.dim

@@ -12,7 +12,7 @@ import pytest
 
 from riordan.cli import build_parser, main
 from riordan.fps import Fps
-from riordan.group import RiordanMatrix
+from riordan.group import RiordanMatrix, TriMatrix
 
 from oracles import dense, recurrence_holds
 
@@ -81,6 +81,22 @@ def test_triangle_pretty_alignment():
     code, out, _ = run_cli(["triangle", "pascal", "--rows", "3", "--pretty"])
     assert code == 0
     assert out == "1\n1 1\n1 2 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "pascal", "--rows", "3"],
+        ["exp", "--a", "1", "--b", "1", "--n", "1", "--t", "1"],
+        ["apply", "--f", "1", "--g", "1,-1", "--gamma", "1"],
+        ["flow", "--dim", "2", "--x0", "1,0", "--t", "1"],
+    ],
+)
+def test_pretty_is_refused_under_csv(argv):
+    code, out, err = run_cli(argv + ["--format", "csv", "--pretty"])
+    want = "error: --pretty indents JSON output; drop it or use --format json\n"
+    assert (code, out, err) == (2, "", want)
+    assert run_cli(argv + ["--format", "csv"])[0] == 0
 
 
 def test_unknown_triangle_name_is_a_usage_error():
@@ -293,6 +309,21 @@ def test_check_symmetry_even_n_passes():
     code, out, _ = run_cli(["check", "symmetry", "--a", "1", "--b", "1", "--n", "2", "--dim", "6"])
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_check_symmetry_makes_one_product_per_side(monkeypatch):
+    # S = -M poses the same equation as S = M, so only M is tested
+    calls = []
+    real = TriMatrix.mul
+
+    def counted(self, other):
+        calls.append(self.dim)
+        return real(self, other)
+
+    monkeypatch.setattr(TriMatrix, "mul", counted)
+    code, out, _ = run_cli(["check", "symmetry", "--n", "2", "--dim", "8"])
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert calls == [8, 8]
 
 
 def test_check_time_reversal_even_n_fails_with_counterexample():

@@ -22,7 +22,15 @@ from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
 from riordan.lie import LieElement, MonomialGenerator
 
-from oracles import dense, mat_identity, mat_mul, nilpotent_exp, rand_coeffs, rand_fraction
+from oracles import (
+    dense,
+    mat_identity,
+    mat_mul,
+    nilpotent_exp,
+    rand_coeffs,
+    rand_fraction,
+    rk4_stages,
+)
 
 F = Fraction
 
@@ -86,11 +94,42 @@ def test_float_flow_raises_on_overflow():
 
 def test_rk4_raises_on_overflow():
     p = monomial_problem(1, 1, 1, 4)
-    with pytest.raises(OverflowError):
-        rk4_integrate(p, (1.0,) * 4, 1e200, 1)
+    # the zero state too: the step matrix holds inf, and inf * 0.0 = nan
+    for x0 in ((1.0,) * 4, (0.0,) * 4):
+        with pytest.raises(OverflowError):
+            rk4_integrate(p, x0, 1e200, 1)
 
 
 # -- RK4 oracle ---------------------------------------------------------------
+
+
+def _rk4_case(rng, case):
+    """A seeded problem, state, time and step count; every fifth generator is a
+    LieElement with a nonzero diagonal."""
+    dim = 1 + case % 12
+    if case % 5 == 4:
+        trunc = dim - 1
+        gen = LieElement(
+            Fps(rand_coeffs(rng, trunc, unit=True), trunc), Fps(rand_coeffs(rng, trunc), trunc)
+        )
+    else:
+        gen = MonomialGenerator(rand_fraction(rng), rand_fraction(rng), rng.randint(0, 3))
+    x0 = [rand_fraction(rng) for _ in range(dim)]
+    t = (F(-1), F(-3, 2), F(0), F(1, 2), F(1), F(2))[case % 6]
+    steps = (1, 2, 5, 40, 500)[case // 6 % 5]
+    return ApproachingProblem(gen, dim - 1), x0, t, steps
+
+
+def test_rk4_matches_its_stage_form():
+    rng = Random(8)
+    for case in range(240):
+        p, x0, t, steps = _rk4_case(rng, case)
+        got = rk4_integrate(p, x0, float(t), steps)
+        want = rk4_stages(dense(p.matrix.as_float()), x0, t, steps)
+        err = max(abs(g - w) for g, w in zip(got, want))
+        assert err <= 1e-12 * max(map(abs, want)), (case, p.dim, t, steps)
+        if t == 0:
+            assert got == tuple(map(float, x0))
 
 
 def test_rk4_approaches_the_exact_flow():

@@ -311,6 +311,27 @@ def test_oracle_float_diagonal():
         assert abs(got.entry(j, j) - want) < 1e-12 * want
 
 
+def test_float_oracle_matches_the_diagonal_closed_form_at_large_times():
+    # n = 0: the section of L(a, b) is diagonal, and its exponential has
+    # entries exp(t(a + jb)); scaling and squaring must hold them to 1e-11
+    vals = [F(-3), F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(3, 2), F(3)]
+    times = [s * m for s in (-1, 1) for m in (F(1, 3), F(1), F(5, 2), F(10), F(33), F(100))]
+    n, examined = 5, 0
+    for a in vals:
+        for b in vals:
+            for t in times:
+                exponents = [t * (a + j * b) for j in range(n + 1)]
+                if max(map(abs, exponents)) > 100:
+                    continue
+                got = exp_truncated_oracle(MonomialGenerator(a, b, 0).lie_element(n), float(t), n)
+                for i, row in enumerate(got.rows):
+                    assert row[:i] == (0.0,) * i
+                    want = math.exp(exponents[i])
+                    assert abs(row[i] - want) <= 1e-11 * want, (a, b, t, i)
+                examined += 1
+    assert examined > 600
+
+
 def test_float_oracle_agrees_with_exact_on_nilpotent_input():
     l = creation(8)
     exact = exp_truncated_oracle(l, F(3, 2), 6)

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import riordan
 
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -44,9 +47,10 @@ def test_module_entry_point_prints_the_golden_triangle():
     assert proc.stdout == (GOLDEN / "triangle_pascal_rows8.json").read_bytes()
 
 
-def test_oracles_import_nothing_from_the_package():
+@pytest.mark.parametrize("path", ["tests/oracles.py", "perfbench/naive.py"])
+def test_oracles_import_nothing_from_the_package(path):
     # agreement with an oracle only means something if the oracle shares no code
-    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    tree = ast.parse((ROOT / path).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
