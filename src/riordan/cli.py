@@ -226,10 +226,6 @@ def cmd_flow(args) -> int:
     if args.dim < 1:
         raise ValueError(f"--dim must be >= 1, got {args.dim}")
     problem = ApproachingProblem(genr, args.dim - 1)
-    if args.mode == "exact" and not problem.has_zero_diagonal:
-        raise ExactModeIrrational(
-            "generator has a nonzero diagonal; its flow is float-only (use --mode float)"
-        )
     x0 = parse_rational_list(args.x0)
     if len(x0) != args.dim:
         raise ValueError(f"--x0 needs {args.dim} components, got {len(x0)}")

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .fps import as_fraction
 from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
 from .lie import LieElement, MonomialGenerator, _taylor, exp_monomial, exp_truncated_oracle
 
-#: Times at which orbit_symmetric_under cross-checks its closed-form verdict.
+#: Flow times whose points, with x0, decide orbit_symmetric_under.
 _ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
@@ -52,10 +53,6 @@ class ApproachingProblem:
         """The problem generated by L(x, x), whose time-1 map is Pascal's triangle."""
         return cls(MonomialGenerator(Fraction(1), Fraction(1), 1), dim - 1)
 
-    @property
-    def has_zero_diagonal(self) -> bool:
-        return self._lie.has_zero_diagonal
-
     def _check_state(self, x):
         if len(x) != self.dim:
             raise ValueError(f"state vector must have {self.dim} components")
@@ -67,7 +64,7 @@ class ApproachingProblem:
 
 
 def project_flow(problem: ApproachingProblem, x0, t):
-    """exp(tA) x0; exact rationals when the generator has zero diagonal."""
+    """exp(tA) x0, in the regime `exp_truncated_oracle` picks from the type of t."""
     x0 = problem._check_state(x0)
     return exp_truncated_oracle(problem._lie, t, problem.n).matvec(x0)
 
@@ -134,29 +131,26 @@ def _orbit_signature(x):
 
 
 def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool:
-    """Does S map the orbit through x0 onto itself?
+    """Does S map the orbit through x0 onto itself?  Exact: x0 is rational.
 
-    Closed-form test via complete orbit invariants; the sample times only
-    cross-check that points of the transformed trajectory land where the
-    verdict says they must.
+    An equilibrium is its own orbit, so the test is S x0 = x0.  Any other
+    orbit is a whole line or vertical parabola, which a lower-triangular S
+    maps onto a line, a vertical parabola or a point.  That image is the
+    orbit iff it holds distinct images of x0 and of the points at the
+    `_ORBIT_SAMPLES` times, all on the orbit: three points fix a parabola.
     """
     if not problem.is_creation_family() or problem.dim not in (2, 3):
         raise UnsupportedGenerator(
             "orbit analysis is implemented for the creation family in dims 2 and 3"
         )
-    x0 = problem._check_state(x0)
-    y0 = s.matvec(x0)
-    sig_x = _orbit_signature(x0)
-    sig_y = _orbit_signature(y0)
-    same_orbit = (y0 == x0) if sig_x is None else (sig_x == sig_y)
-    if same_orbit and sig_x is not None:
-        for t in _ORBIT_SAMPLES:
-            moved = s.matvec(project_flow(problem, x0, t))
-            if _orbit_signature(moved) != sig_x:
-                raise RuntimeError(
-                    f"orbit cross-check failed: S maps the point at t={t} off the orbit"
-                )
-    return same_orbit
+    x0 = tuple(map(as_fraction, problem._check_state(x0)))
+    sig = _orbit_signature(x0)
+    if sig is None:
+        return s.matvec(x0) == x0
+    images = {s.matvec(project_flow(problem, x0, t)) for t in (0, *_ORBIT_SAMPLES)}
+    return len(images) == 1 + len(_ORBIT_SAMPLES) and all(
+        _orbit_signature(y) == sig for y in images
+    )
 
 
 def projected_involution(sign: int, n: int) -> TriMatrix:

@@ -35,7 +35,7 @@ class InsufficientTruncation(ValueError):
 
 
 class TriMatrix:
-    """Dense lower-triangular square matrix, stored as ragged rows.
+    """Lower-triangular square matrix, given and stored as ragged rows: row i has i + 1 entries.
 
     Entries are all exact Fractions or, for the float sections named in
     the module docstring, all Python floats.  The arithmetic keeps the
@@ -45,19 +45,12 @@ class TriMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        stored = []
-        for i, row in enumerate(rows):
-            row = list(row)
-            if len(row) == len(rows):  # dense square input: check the zeros
-                if any(row[j] for j in range(i + 1, len(row))):
-                    raise ValueError(f"row {i} has nonzero entries above the diagonal")
-                row = row[: i + 1]
+        self._rows = tuple(map(tuple, rows))
+        if not self._rows:
+            raise ValueError("matrix needs at least one row")
+        for i, row in enumerate(self._rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-            stored.append(tuple(row))
-        if not stored:
-            raise ValueError("matrix needs at least one row")
-        self._rows = tuple(stored)
 
     @classmethod
     def identity(cls, dim: int) -> "TriMatrix":

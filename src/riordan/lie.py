@@ -13,8 +13,8 @@ The same subgroup solves the initial value problem
 u_t = chi*u + x*alpha*u_x, u(x,0) = h, and `characteristic_solution`
 computes that solution directly from the characteristic curves as an
 independent route.  `exp_truncated_oracle` exponentiates finite sections
-(exactly when the diagonal is zero, in floats otherwise) and is the
-oracle the closed forms are tested against.
+(exactly for a rational t, in floats for a float t) and is the oracle the
+closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ class MonomialGenerator:
             Fps.monomial(self.a, self.n, trunc), Fps.monomial(self.b, self.n, trunc)
         )
 
-    @property
-    def has_zero_diagonal(self) -> bool:
-        return self.n >= 1 or (self.a == 0 and self.b == 0)
-
     def to_json_dict(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "n": self.n}
 
@@ -165,8 +161,8 @@ def exp_monomial(genr: MonomialGenerator, t: Rational, trunc: int) -> RiordanMat
 
     Exact-rational output.  For n = 0 the entries are exp(t(a + jb)),
     which is irrational unless t = 0 or a = b = 0; those cases raise
-    ExactModeIrrational and are served in float mode by
-    `exp_truncated_oracle` instead.
+    ExactModeIrrational and are served by `exp_truncated_oracle` at a
+    float t instead.
     """
     t = as_fraction(t)
     a, b, n = genr.a, genr.b, genr.n
@@ -211,16 +207,23 @@ def characteristic_solution(genr: MonomialGenerator, h: Fps, t: Rational) -> Fps
 def exp_truncated_oracle(elt: LieElement, t, n: int) -> TriMatrix:
     """Exponential of the (n+1)-section of t * elt, independent of closed forms.
 
-    Zero-diagonal generators with rational t: the section is nilpotent, so
-    the finite Taylor sum is exact in rational arithmetic.  Anything else
-    falls back to float scaling-and-squaring (entrywise accuracy ~1e-12 at
-    desk scale), which raises OverflowError when an entry leaves the float
-    range.
+    The type of t picks the regime, here and nowhere else.  A float t runs
+    float scaling-and-squaring (entrywise accuracy ~1e-12 at desk scale),
+    which raises OverflowError when an entry leaves the float range.  A
+    rational t gives Fractions: a zero-diagonal generator has nilpotent
+    sections, whose Taylor sum is finite, and t = 0 gives the identity.  A
+    nonzero diagonal at rational t != 0 has the irrational entries
+    exp(t(chi(0) + j alpha(0))) and raises ExactModeIrrational.
     """
     mat = elt.to_matrix(n)
-    if elt.has_zero_diagonal and not isinstance(t, float):
-        return _taylor(mat.scale(as_fraction(t)), n)
-    return _expm_float(mat.as_float().scale(float(t)))
+    if isinstance(t, float):
+        return _expm_float(mat.as_float().scale(t))
+    t = as_fraction(t)
+    if t and not elt.has_zero_diagonal:
+        raise ExactModeIrrational(
+            "a nonzero diagonal gives entries exp(t(chi(0) + j alpha(0))); use float mode"
+        )
+    return _taylor(mat.scale(t), n)
 
 
 _TAYLOR_ORDER = 20

@@ -283,6 +283,23 @@ def test_flow_diagonal_generator_needs_float_mode():
     assert abs(doc["rows"][0]["x"][1] - math.e**2) < 1e-10
 
 
+def test_flow_exact_refusal_on_a_nonzero_diagonal_is_the_library_error():
+    code, out, err = run_cli(["flow", "--n", "0", "--dim", "3", "--x0", "1,0,0", "--t", "0,1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float mode" in err
+
+
+def test_flow_exact_on_a_nonzero_diagonal_at_time_zero_echoes_state():
+    code, out, err = run_cli(["flow", "--n", "0", "--dim", "3", "--x0", "1,2/3,3", "--t", "0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == [{"t": "0", "x": ["1", "2/3", "3"]}]
+
+
+def test_flow_state_length_is_checked_before_the_regime():
+    code, out, err = run_cli(["flow", "--n", "0", "--dim", "3", "--x0", "1,0", "--t", "1"])
+    assert (code, out, err) == (2, "", "error: --x0 needs 3 components, got 2\n")
+
+
 def test_flow_wrong_state_length():
     code, _, err = run_cli(["flow", "--dim", "3", "--x0", "1,0", "--t", "1"])
     assert code == 2

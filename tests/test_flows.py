@@ -20,7 +20,7 @@ from riordan.flows import (
 )
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
-from riordan.lie import LieElement, MonomialGenerator
+from riordan.lie import ExactModeIrrational, LieElement, MonomialGenerator
 
 from oracles import (
     dense,
@@ -313,21 +313,32 @@ def test_parabola_orbits():
         assert not orbit_symmetric_under(minus_m, p, (a, b, c))
 
 
-def test_orbit_cross_check_mismatch_raises(monkeypatch):
-    import riordan.flows as flows
+def test_orbit_invariants_are_exact_on_an_int_state():
+    # c - b^2/a must not become a float when the state is given as ints
+    p, m = ApproachingProblem.creation(3), projected_involution(1, 2)
+    assert orbit_symmetric_under(m, p, (3, 1, 1))
+    assert orbit_symmetric_under(m, p, (F(3), F(1), F(1)))
+    with pytest.raises(TypeError):
+        orbit_symmetric_under(m, p, (3.0, 1.0, 1.0))
 
-    real = flows._orbit_signature
-    calls = []
 
-    def drifting(x):
-        # Genuine for x0 and S x0, then off the orbit for every sample.
-        calls.append(x)
-        return real(x) if len(calls) <= 2 else ("line", F(99))
+def test_orbit_is_not_symmetric_when_only_x0_lands_on_it():
+    # S x0 = (3, -19, -12) is on the parabola through x0, no other image is
+    s = TriMatrix([[F(1)], [F(0), F(19, 20)], [F(0), F(0), F(-12)]])
+    assert not orbit_symmetric_under(s, ApproachingProblem.creation(3), (F(3), F(-20), F(1)))
 
-    monkeypatch.setattr(flows, "_orbit_signature", drifting)
-    p = ApproachingProblem.creation(2)
-    with pytest.raises(RuntimeError, match="orbit cross-check failed"):
-        orbit_symmetric_under(projected_involution(1, 1), p, (F(1), F(0)))
+
+def test_singular_s_collapsing_the_orbit_is_not_a_symmetry():
+    # S sends the whole line x0 = 1 to the point (1, 0)
+    s = TriMatrix([[F(1)], [F(0), F(0)]])
+    assert not orbit_symmetric_under(s, ApproachingProblem.creation(2), (F(1), F(0)))
+
+
+def test_singular_s_fixing_a_line_orbit_is_a_symmetry():
+    # diag(0, 1, 1) fixes the orbit {(0, 1, z)} pointwise: its zero entry
+    # scales only the first coordinate, which is 0 on the whole orbit
+    s = TriMatrix.diagonal([F(0), F(1), F(1)])
+    assert orbit_symmetric_under(s, ApproachingProblem.creation(3), (F(0), F(1), F(0)))
 
 
 def test_orbit_analysis_limited_to_the_creation_family():
@@ -389,6 +400,16 @@ def test_flow_trace_rows_and_error_summary():
 
 def test_problem_from_lie_element_with_nonzero_diagonal_uses_floats():
     p = ApproachingProblem(LieElement(Fps.one(4), Fps.one(4)), 2)
-    assert not p.has_zero_diagonal
     moved = project_flow(p, (1.0, 1.0, 1.0), 0.0)
     assert all(abs(m - 1.0) < 1e-12 for m in moved)
+    with pytest.raises(ExactModeIrrational, match="float mode"):
+        project_flow(p, (1, 1, 1), 1)
+
+
+def test_exact_flow_on_a_nonzero_diagonal():
+    p = ApproachingProblem(MonomialGenerator(F(1), F(1), 0), 2)
+    with pytest.raises(ExactModeIrrational, match="float mode"):
+        project_flow(p, (F(1), F(0), F(0)), 1)
+    for t in (0, F(0)):  # t = 0 is the exact identity
+        got = project_flow(p, (F(1), F(2), F(3)), t)
+        assert got == (F(1), F(2), F(3)) and all(type(v) is Fraction for v in got)

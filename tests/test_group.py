@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan.fps import Fps
 from riordan.group import (
@@ -26,6 +27,7 @@ from oracles import (
     mat_vec,
     rand_coeffs,
     recurrence_holds,
+    riordan_from_columns,
     solve_a_sequence,
 )
 
@@ -316,7 +318,50 @@ def test_trimatrix_rejects_upper_entries():
         TriMatrix([[F(1), F(2)], [F(0), F(1)]])
 
 
+def test_trimatrix_takes_ragged_rows_only():
+    # a dense square input is refused even when its upper triangle is zero
+    with pytest.raises(ValueError, match="row 0 must have 1 entries"):
+        TriMatrix([[1, 0], [1, 1]])
+
+
 def test_trimatrix_serialization():
     m = TriMatrix([[F(1)], [F(1, 2), F(3)]])
     assert m.to_json_dict() == {"dim": 2, "rows": [["1"], ["1/2", "3"]]}
     assert m.to_csv() == "1\n1/2,3\n"
+
+
+# -- properties at the truncation edges ------------------------------------------------
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+def riordan_at(trunc):
+    """T(f|g) at the given truncation, with small rational coefficients."""
+    series = st.lists(small, min_size=trunc + 1, max_size=trunc + 1).filter(lambda cs: cs[0])
+    return st.builds(lambda f, g: RiordanMatrix(Fps(f, trunc), Fps(g, trunc)), series, series)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(riordan_at(0))
+def test_inverse_and_a_sequence_need_trunc_one(r):
+    with pytest.raises(InsufficientTruncation):
+        r.inverse()
+    with pytest.raises(InsufficientTruncation):
+        r.a_sequence()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(1, 6).flatmap(riordan_at))
+def test_inverse_is_two_sided_and_loses_one_order(r):
+    inv = r.inverse()
+    assert inv.trunc == r.a_sequence().trunc == r.trunc - 1
+    identity = RiordanMatrix.identity(r.trunc - 1)
+    assert r * inv == identity and inv * r == identity
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(riordan_at(k), st.integers(1, k))))
+def test_section_columns_give_back_f_and_g_less_one_order(case):
+    r, n = case
+    f, g = riordan_from_columns(dense(r.to_matrix(n)))
+    assert (tuple(f), tuple(g)) == (r.f.prefix(n - 1), r.g.prefix(n - 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix, involution_m
@@ -26,6 +27,7 @@ from oracles import (
     lower_tri_inverse,
     mat_mul,
     mat_sub,
+    nilpotent_exp,
     rand_coeffs,
     rand_fraction,
     riordan_from_columns,
@@ -306,9 +308,22 @@ def test_oracle_five_by_five_is_pascal():
 
 
 def test_oracle_float_diagonal():
-    got = exp_truncated_oracle(elem([1], [1], 4), 1, 2)
+    got = exp_truncated_oracle(elem([1], [1], 4), 1.0, 2)
     for j, want in enumerate((math.e, math.e**2, math.e**3)):
         assert abs(got.entry(j, j) - want) < 1e-12 * want
+
+
+def test_oracle_refuses_a_nonzero_diagonal_at_rational_t():
+    with pytest.raises(ExactModeIrrational, match="float mode"):
+        exp_truncated_oracle(LieElement(Fps.one(4), Fps.one(4)), 1, 2)
+    with pytest.raises(ExactModeIrrational, match="float mode"):
+        exp_truncated_oracle(MonomialGenerator(F(1), F(1), 0).lie_element(2), F(-1, 2), 2)
+
+
+def test_oracle_at_time_zero_is_the_exact_identity_on_a_nonzero_diagonal():
+    got = exp_truncated_oracle(LieElement(Fps.one(4), Fps.one(4)), 0, 2)
+    assert got == TriMatrix.identity(3)
+    assert all(type(x) is Fraction for row in got.rows for x in row)
 
 
 def test_float_oracle_matches_the_diagonal_closed_form_at_large_times():
@@ -447,3 +462,59 @@ def test_log_recovers_the_generator_section():
 def test_log_rejects_non_unit_diagonal():
     with pytest.raises(ValueError, match="unit diagonal"):
         log_unitriangular(dense(TriMatrix.diagonal([F(2), F(2)])))
+
+
+# -- the exact/float regime rule ---------------------------------------------------------
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+rational_t = st.one_of(small, st.integers(-3, 3))
+
+
+def sections(diagonal):
+    """(elt, n): an element at trunc 0..6 with (chi(0), alpha(0)) drawn from
+    diagonal, and a section index n <= trunc."""
+    def at(trunc):
+        tail = st.lists(small, min_size=trunc, max_size=trunc)
+        elts = st.builds(
+            lambda d, chi, alpha: elem([d[0], *chi], [d[1], *alpha], trunc), diagonal, tail, tail
+        )
+        return st.tuples(elts, st.integers(0, trunc))
+
+    return st.integers(0, 6).flatmap(at)
+
+
+any_diagonal = st.tuples(small, small)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(sections(st.just((F(0), F(0)))), rational_t)
+def test_rational_t_on_a_zero_diagonal_is_the_exact_taylor_sum(section, t):
+    elt, n = section
+    got = exp_truncated_oracle(elt, t, n)
+    assert dense(got) == nilpotent_exp(dense(elt.to_matrix(n)), t)
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(sections(any_diagonal), st.floats(-2, 2))
+def test_float_t_gives_floats(section, t):
+    elt, n = section
+    got = exp_truncated_oracle(elt, t, n)
+    assert all(type(x) is float for row in got.rows for x in row)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(sections(any_diagonal.filter(any)), rational_t.filter(bool))
+def test_rational_t_on_a_nonzero_diagonal_raises(section, t):
+    elt, n = section
+    with pytest.raises(ExactModeIrrational, match="float mode"):
+        exp_truncated_oracle(elt, t, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(sections(any_diagonal), st.sampled_from([0, F(0)]))
+def test_rational_t_zero_is_the_exact_identity(section, t):
+    elt, n = section
+    got = exp_truncated_oracle(elt, t, n)
+    assert got == TriMatrix.identity(n + 1)
+    assert all(type(x) is Fraction for row in got.rows for x in row)

@@ -1,5 +1,5 @@
-"""The package surface: exported names, the `python -m riordan` entry point, and the
-independence of the test oracles from the package."""
+"""The package surface: exported names, the `python -m riordan` entry point, the
+independence of the test oracles from the package, and the benchmark's own checks."""
 
 import ast
 import os
@@ -60,3 +60,17 @@ def test_oracles_import_nothing_from_the_package(path):
     assert imported and not any(
         name == "riordan" or name.startswith(("riordan.", ".")) for name in imported
     ), imported
+
+
+@pytest.mark.parametrize("workload", ["exp-check", "cli-small"])
+def test_benchmark_checks_accept_one_pass(workload, tmp_path, monkeypatch):
+    # one pass of seed 201's ops, each judged by the benchmark's own check;
+    # series-group is left out, its naive checks take about 9 s
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops = workloads.WORKLOADS[workload](201)
+    if workload == "cli-small":
+        workloads.ChildRunner(str(ROOT), str(tmp_path)).bind(ops)
+    failed = [op.spec for op in ops if not op.check(op.run())]
+    assert not failed
