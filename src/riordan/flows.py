@@ -64,8 +64,13 @@ class ApproachingProblem:
 
 
 def project_flow(problem: ApproachingProblem, x0, t):
-    """exp(tA) x0, in the regime `exp_truncated_oracle` picks from the type of t."""
+    """exp(tA) x0, in the regime `exp_truncated_oracle` picks from the type of t.
+
+    A rational t takes a rational state: a float component raises TypeError.
+    """
     x0 = problem._check_state(x0)
+    if not isinstance(t, float):
+        x0 = tuple(map(as_fraction, x0))
     return exp_truncated_oracle(problem._lie, t, problem.n).matvec(x0)
 
 

@@ -13,8 +13,9 @@ The same subgroup solves the initial value problem
 u_t = chi*u + x*alpha*u_x, u(x,0) = h, and `characteristic_solution`
 computes that solution directly from the characteristic curves as an
 independent route.  `exp_truncated_oracle` exponentiates finite sections
-(exactly for a rational t, in floats for a float t) and is the oracle the
-closed forms are tested against.
+and is the oracle the closed forms are tested against: for a rational t
+as a finite Taylor sum on integer numerators over one common denominator,
+for a float t by float scaling and squaring.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .fps import Fps, Rational, as_fraction
+from .fps import Fps, Rational, _over_common_denominator, as_fraction
 from .group import InsufficientTruncation, RiordanMatrix, TriMatrix
 
 
@@ -223,22 +225,47 @@ def exp_truncated_oracle(elt: LieElement, t, n: int) -> TriMatrix:
         raise ExactModeIrrational(
             "a nonzero diagonal gives entries exp(t(chi(0) + j alpha(0))); use float mode"
         )
-    return _taylor(mat.scale(t), n)
+    return _exp_nilpotent_exact(mat.scale(t))
+
+
+def _exp_nilpotent_exact(scaled: TriMatrix) -> TriMatrix:
+    """exp of a strictly lower-triangular Fraction section, as exact Fractions.
+
+    Writes the section as N / d with N an integer section, so the K-th
+    partial Taylor sum is sum_k N^k d^(K-k) K!/k! over the one denominator
+    d^K K!.  The powers of N are integer products, each step rescales the
+    integer sum by d k, and each entry is reduced once at the end.  Stops
+    at the first all-zero power.
+    """
+    dim = scaled.dim
+    flat, d = _over_common_denominator([x for row in scaled.rows for x in row])
+    rows = [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(dim)]
+    cols = [[row[j] for row in rows[j:]] for j in range(dim)]
+    acc = [[1 if i == j else 0 for j in range(i + 1)] for i in range(dim)]
+    power, denom = rows, 1
+    for k in range(1, dim):  # N^dim = 0
+        if k > 1:
+            power = [[sum(map(mul, r[j:], cols[j])) for j in range(len(r))] for r in power]
+        if not any(map(any, power)):
+            break
+        step = d * k
+        acc = [[step * x + y for x, y in zip(r, s)] for r, s in zip(acc, power)]
+        denom *= step
+    return TriMatrix([[Fraction(x, denom) for x in row] for row in acc])
 
 
 _TAYLOR_ORDER = 20
 
 
 def _taylor(scaled: TriMatrix, order: int) -> TriMatrix:
-    """sum scaled^k / k! for k <= order, in the entries' own number type.
+    """sum scaled^k / k! for k <= order, on a float section.
 
     Stops at the first all-zero term, so a nilpotent section pays one
     product per nonzero power only.
     """
-    one = type(scaled.entry(0, 0))(1)
-    acc = term = TriMatrix.diagonal([one] * scaled.dim)
+    acc = term = TriMatrix.diagonal([1.0] * scaled.dim)
     for k in range(1, order + 1):
-        term = term.mul(scaled).scale(one / k)
+        term = term.mul(scaled).scale(1.0 / k)
         if not any(map(any, term.rows)):
             break
         acc = acc.add(term)

@@ -413,3 +413,15 @@ def test_exact_flow_on_a_nonzero_diagonal():
     for t in (0, F(0)):  # t = 0 is the exact identity
         got = project_flow(p, (F(1), F(2), F(3)), t)
         assert got == (F(1), F(2), F(3)) and all(type(v) is Fraction for v in got)
+
+
+def test_rational_t_takes_a_rational_state():
+    p = ApproachingProblem.creation(2)
+    with pytest.raises(TypeError, match="float"):
+        flow_trace(p, (1.0, 0.0), [F(1)])
+    with pytest.raises(TypeError, match="float"):
+        project_flow(p, (F(1), 0.5), 2)
+    got = project_flow(p, (1, 0), 2)  # an int state is rational
+    assert got == (1, 2) and all(type(v) is Fraction for v in got)
+    # a float t keeps the float regime, whatever the state's type
+    assert project_flow(p, (F(1), 0), 2.0) == (1.0, 2.0)

@@ -518,3 +518,47 @@ def test_rational_t_zero_is_the_exact_identity(section, t):
     got = exp_truncated_oracle(elt, t, n)
     assert got == TriMatrix.identity(n + 1)
     assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+# -- the exact section exponential on integer numerators ----------------------------------
+
+# denominators that share factors with each other and with t's
+shared_entries = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 9]))
+shared_times = st.one_of(st.builds(F, st.integers(-7, 7), st.sampled_from([3, 6])), st.integers(-2, 2))
+
+
+def square(dim, diagonal):
+    """An element at trunc dim - 1 with (chi(0), alpha(0)) drawn from diagonal."""
+    tail = st.lists(shared_entries, min_size=dim - 1, max_size=dim - 1)
+    return st.builds(
+        lambda d, chi, alpha: elem([d[0], *chi], [d[1], *alpha], dim - 1), diagonal, tail, tail
+    )
+
+
+exact_cases = st.integers(1, 14).flatmap(
+    lambda dim: st.one_of(
+        st.tuples(square(dim, st.just((F(0), F(0)))), shared_times),
+        st.tuples(square(dim, st.tuples(shared_entries, shared_entries).filter(any)), st.just(F(0))),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(exact_cases)
+def test_exact_exponential_equals_the_dense_taylor_oracle(case):
+    elt, t = case
+    n = elt.trunc
+    got = exp_truncated_oracle(elt, t, n)
+    assert dense(got) == nilpotent_exp(dense(elt.to_matrix(n)), t)
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def test_only_the_float_exponential_takes_section_products(monkeypatch):
+    calls = []
+    product = TriMatrix.mul
+    monkeypatch.setattr(TriMatrix, "mul", lambda a, b: calls.append(1) or product(a, b))
+    elt = MonomialGenerator(F(3, 2), F(-1, 2), 1).lie_element(12)
+    exp_truncated_oracle(elt, F(2, 3), 12)
+    assert calls == []
+    exp_truncated_oracle(elt, 2 / 3, 12)
+    assert calls

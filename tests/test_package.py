@@ -1,5 +1,6 @@
 """The package surface: exported names, the `python -m riordan` entry point, the
-independence of the test oracles from the package, and the benchmark's own checks."""
+independence of the test oracles from the package, the benchmark's own checks, and
+the pytest configuration's report of a failing Hypothesis test."""
 
 import ast
 import os
@@ -74,3 +75,22 @@ def test_benchmark_checks_accept_one_pass(workload, tmp_path, monkeypatch):
         workloads.ChildRunner(str(ROOT), str(tmp_path)).bind(ops)
     failed = [op.spec for op in ops if not op.check(op.run())]
     assert not failed
+
+
+def test_a_failing_hypothesis_test_is_reported_as_failed(tmp_path):
+    # the repo's warning filters must let pytest report the failure itself
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAILED test_fails.py::test_fails" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
