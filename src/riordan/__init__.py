@@ -6,7 +6,6 @@ from .fps import (
     CompositionNeedsPositiveOrder,
     ExpNeedsZeroConstantTerm,
     Fps,
-    INFINITE_ORDER,
     InvalidTruncation,
     NotAUnit,
     NotInvertibleUnderComposition,

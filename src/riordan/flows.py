@@ -2,10 +2,12 @@
 
 Projecting a Lie-algebra element to its (n+1) x (n+1) section turns the
 series equation gamma' = L(gamma) into the linear ODE x' = A x on
-R^(n+1).  This module evaluates those flows exactly (nilpotent case) or
-numerically, finds equilibria, and decides whether a given involution is
-a symmetry (S A S^-1 = A) or a time-reversal symmetry (S A S^-1 = -A) of
-a problem, at the generator level.
+R^(n+1).  The section acting on a state is the series action on its
+generating series, so the exact flow of a monomial generator comes from
+the characteristic curves, and sections only verify it.  This module
+evaluates flows exactly or numerically, finds equilibria, and decides
+whether a given involution is a symmetry (S A S^-1 = A) or a time-reversal
+symmetry (S A S^-1 = -A) of a problem, at the generator level.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fps import as_fraction
+from .fps import Fps, as_fraction
 from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
-from .lie import LieElement, MonomialGenerator, _taylor, exp_monomial, exp_truncated_oracle
+from .lie import LieElement, MonomialGenerator, _taylor, characteristic_solution
+from .lie import exp_monomial, exp_truncated_oracle
 
 #: Flow times whose points, with x0, decide orbit_symmetric_under.
 _ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -64,13 +67,19 @@ class ApproachingProblem:
 
 
 def project_flow(problem: ApproachingProblem, x0, t):
-    """exp(tA) x0, in the regime `exp_truncated_oracle` picks from the type of t.
+    """exp(tA) x0: the series action on gamma = sum x0_i x^i, truncated.
 
-    A rational t takes a rational state: a float component raises TypeError.
+    A float t runs the section exponential in floats.  A rational t takes a
+    rational state (a float component raises TypeError) and gives the exact
+    flow: along the characteristic curves for a monomial generator, by the
+    section exponential for a `LieElement`, which has no closed form.
     """
     x0 = problem._check_state(x0)
     if not isinstance(t, float):
-        x0 = tuple(map(as_fraction, x0))
+        gamma = Fps(x0, problem.n)
+        if isinstance(problem.generator, MonomialGenerator):
+            return characteristic_solution(problem.generator, gamma, t).coeffs
+        x0 = gamma.coeffs
     return exp_truncated_oracle(problem._lie, t, problem.n).matvec(x0)
 
 

@@ -26,9 +26,6 @@ from typing import Iterable, Union
 
 Rational = Union[Fraction, int, str]
 
-#: Sentinel returned by :meth:`Fps.order` for the zero series.
-INFINITE_ORDER = math.inf
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -161,13 +158,6 @@ class Fps:
 
     def constant(self) -> Fraction:
         return self._coeffs[0]
-
-    def order(self):
-        """Index of the first nonzero coefficient; INFINITE_ORDER if none stored."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k
-        return INFINITE_ORDER
 
     def prefix(self, upto: int) -> tuple[Fraction, ...]:
         """Coefficients 0..upto, for comparisons across truncation orders."""

@@ -233,9 +233,6 @@ class RiordanMatrix:
             raise InsufficientTruncation("inverse and a_sequence need trunc >= 1")
         return self._g.reciprocal().xmul().compositional_inverse()
 
-    def to_json_dict(self) -> dict:
-        return {"f": self._f.to_dict(), "g": self._g.to_dict(), "trunc": self.trunc}
-
 
 def involution_m(sign: int, trunc: int) -> RiordanMatrix:
     """The diagonal involutions: +1 gives T(-1|-1) = diag(1,-1,1,...),

@@ -12,10 +12,11 @@ monomial family L(a x^n, b x^n) have closed forms:
 The same subgroup solves the initial value problem
 u_t = chi*u + x*alpha*u_x, u(x,0) = h, and `characteristic_solution`
 computes that solution directly from the characteristic curves as an
-independent route.  `exp_truncated_oracle` exponentiates finite sections
-and is the oracle the closed forms are tested against: for a rational t
-as a finite Taylor sum on integer numerators over one common denominator,
-for a float t by float scaling and squaring.
+independent route; it also gives the exact flows of `flows.project_flow`.
+`exp_truncated_oracle` exponentiates finite sections and is the oracle
+the closed forms are tested against: for a rational t as a finite Taylor
+sum on integer numerators over one common denominator, for a float t by
+float scaling and squaring.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class LieElement:
     def __repr__(self) -> str:
         return f"LieElement(chi={self._chi!r}, alpha={self._alpha!r})"
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self._chi + other._chi, self._alpha + other._alpha)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(-self._chi, -self._alpha)
-
     def scale(self, c: Rational) -> "LieElement":
         return LieElement(self._chi.scale(c), self._alpha.scale(c))
 
@@ -92,9 +87,6 @@ class LieElement:
     def act(self, h: Fps) -> Fps:
         """chi*h + x*alpha*h', the action as a derivation plus multiplier."""
         return self._chi * h + self._alpha * h.xderiv()
-
-    def to_json_dict(self) -> dict:
-        return {"chi": self._chi.to_dict(), "alpha": self._alpha.to_dict()}
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,13 @@ from riordan.flows import (
 )
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
-from riordan.lie import ExactModeIrrational, LieElement, MonomialGenerator
+from riordan.lie import ExactModeIrrational, LieElement, MonomialGenerator, exp_truncated_oracle
 
 from oracles import (
     dense,
     mat_identity,
     mat_mul,
+    mat_vec,
     nilpotent_exp,
     rand_coeffs,
     rand_fraction,
@@ -79,6 +80,70 @@ def test_hyperplane_confinement():
         x0 = tuple(rand_fraction(rng) for _ in range(p.dim))
         t = rand_fraction(rng)
         assert project_flow(p, x0, t)[0] == x0[0]
+
+
+def test_exact_monomial_flow_matches_the_section_exponential():
+    rng = Random(46)
+    for case in range(150):
+        n, dim = case % 5, rng.randint(1, 10)  # n >= dim on some draws
+        a, b = rand_fraction(rng), rand_fraction(rng)
+        if case % 3 == 0:
+            b = F(0)
+        if n == 0 and case % 2 == 0:
+            a = b = F(0)
+        genr = MonomialGenerator(a, b, n)
+        p = ApproachingProblem(genr, dim - 1)
+        elt = genr.lie_element(dim - 1)
+        x0 = tuple(rand_fraction(rng) for _ in range(dim))
+        t = (F(0), F(1, 2), F(-2, 3), F(2), F(5))[case // 5 % 5]
+        if n == 0 and t != 0 and (a, b) != (0, 0):
+            with pytest.raises(ExactModeIrrational):
+                project_flow(p, x0, t)
+            with pytest.raises(ExactModeIrrational):
+                exp_truncated_oracle(elt, t, dim - 1)
+            continue
+        got = project_flow(p, x0, t)
+        assert got == exp_truncated_oracle(elt, t, dim - 1).matvec(x0), (case, genr, t)
+        # at n = 0 the section is zero (a = b = 0), or t = 0
+        want = mat_vec(nilpotent_exp(dense(elt.to_matrix(dim - 1)), t), x0)
+        assert list(got) == want, (case, genr, t)
+
+
+def test_exact_monomial_flow_reads_no_section_exponential(monkeypatch):
+    calls = {"oracle": 0, "mul": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        "riordan.flows.exp_truncated_oracle", counted("oracle", exp_truncated_oracle)
+    )
+    monkeypatch.setattr(TriMatrix, "mul", counted("mul", TriMatrix.mul))
+    p = monomial_problem(F(3, 2), F(-1, 2), 1, 12)
+    x0 = tuple(F(k, 3) for k in range(12))
+    for t in (F(0), F(-2, 3), F(5)):
+        project_flow(p, x0, t)
+    assert calls == {"oracle": 0, "mul": 0}
+    project_flow(p, tuple(map(float, x0)), 0.5)
+    assert calls["oracle"] == 1
+
+
+def test_exact_flow_of_a_zero_diagonal_lie_element():
+    rng = Random(47)
+    for case in range(30):
+        trunc = rng.randint(0, 9)
+        chi, alpha = rand_coeffs(rng, trunc), rand_coeffs(rng, trunc)
+        chi[0] = alpha[0] = F(0)
+        elt = LieElement(Fps(chi, trunc), Fps(alpha, trunc))
+        n = rng.randint(0, trunc)
+        x0 = tuple(rand_fraction(rng) for _ in range(n + 1))
+        t = (F(1, 2), F(-2, 3), F(3))[case % 3]
+        want = mat_vec(nilpotent_exp(dense(elt.to_matrix(n)), t), x0)
+        assert list(project_flow(ApproachingProblem(elt, n), x0, t)) == want
 
 
 def test_state_length_validated():

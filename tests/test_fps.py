@@ -1,6 +1,5 @@
 """Series arithmetic: worked examples plus the algebraic laws, all exact."""
 
-import math
 from fractions import Fraction
 from random import Random
 
@@ -11,7 +10,6 @@ from riordan.fps import (
     CompositionNeedsPositiveOrder,
     ExpNeedsZeroConstantTerm,
     Fps,
-    INFINITE_ORDER,
     InvalidTruncation,
     NotAUnit,
     NotInvertibleUnderComposition,
@@ -64,22 +62,6 @@ def test_float_coefficients_rejected():
 
 def test_string_coefficients_parse_exactly():
     assert Fps(["1/2", "0.25"], 1).coeffs == (F(1, 2), F(1, 4))
-
-
-# -- order -------------------------------------------------------------
-
-
-def test_order_of_unit():
-    assert Fps([1, -1], 4).order() == 0
-
-
-def test_order_of_x_plus_x2():
-    assert Fps([0, 1, 1], 4).order() == 1
-
-
-def test_order_of_zero_is_infinite():
-    assert Fps.zero(5).order() == INFINITE_ORDER
-    assert Fps.zero(5).order() == math.inf
 
 
 # -- linear ops ----------------------------------------------------------

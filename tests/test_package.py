@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_public_names_are_exactly_the_documented_set():
     assert set(riordan.__all__) == {
         # fps
-        "CompositionNeedsPositiveOrder", "ExpNeedsZeroConstantTerm", "Fps", "INFINITE_ORDER",
+        "CompositionNeedsPositiveOrder", "ExpNeedsZeroConstantTerm", "Fps",
         "InvalidTruncation", "NotAUnit", "NotInvertibleUnderComposition",
         "PowNeedsUnitConstantOne", "SeriesError", "as_fraction",
         # group
