@@ -38,7 +38,6 @@ from .flows import (
     check_symmetry,
     check_time_reversal,
     equilibria_check,
-    flow_trace,
     orbit_symmetric_under,
     project_flow,
     projected_involution,

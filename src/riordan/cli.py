@@ -10,6 +10,7 @@ or float overflow, 3 exact-mode violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .lie import (
     exp_monomial,
     exp_truncated_oracle,
 )
-from .flows import ApproachingProblem, flow_trace, projected_involution
+from .flows import ApproachingProblem, project_flow, projected_involution, rk4_integrate
 
 NAMED_TRIANGLES = ("pascal", "identity", "m", "minus-m")
 CHECKS = ("pseudo-involution", "symmetry", "time-reversal", "oracle-exp", "ftrm", "a-sequence")
@@ -121,6 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
 
     return parser
+
+
+#: The parser of this process, built on first use; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
 
 
 # -- triangle ----------------------------------------------------------------
@@ -235,17 +240,23 @@ def cmd_flow(args) -> int:
     if args.mode == "float":
         x0, times = [float(v) for v in x0], [float(t) for t in times]
 
-    trace = flow_trace(problem, x0, times, args.rk4)
+    shown = str if args.mode == "exact" else float  # rationals print as "p/q" strings
+    header = ["t"] + [f"x{i}" for i in range(args.dim)]
     rk4_header = [] if args.rk4 is None else [f"rk4_x{i}" for i in range(args.dim)]
-    csv_lines = [",".join(trace["header"] + rk4_header)]
-    for row in trace["rows"]:
-        if args.mode == "exact":  # rationals print as "p/q" strings
-            row["t"], row["x"] = str(row["t"]), [str(v) for v in row["x"]]
+    rows, csv_lines, max_err = [], [",".join(header + rk4_header)], 0.0
+    for t in times:
+        state = project_flow(problem, x0, t)
+        row = {"t": shown(t), "x": [shown(v) for v in state]}
+        if args.rk4 is not None:
+            row["rk4"] = approx = rk4_integrate(problem, x0, float(t), args.rk4)
+            max_err = max(max_err, max(abs(float(e) - r) for e, r in zip(state, approx)))
+        rows.append(row)
         csv_lines.append(",".join(map(str, [row["t"], *row["x"], *row.get("rk4", ())])))
-    csv_text = "\n".join(csv_lines) + "\n"
+    payload = {"header": header, "rows": rows}
     if args.rk4 is not None:
-        csv_text += f"# max_error,{trace['max_error']}\n"
-    emit(args, trace, csv_text)
+        payload |= {"rk4_steps": args.rk4, "max_error": max_err}
+        csv_lines.append(f"# max_error,{max_err}")
+    emit(args, payload, "\n".join(csv_lines) + "\n")
     return 0
 
 
@@ -318,7 +329,7 @@ def cmd_check(args) -> int:
         # S A S^-1 = A (symmetry) or -A (time reversal), tested as S A = +-A S.
         # S = -M gives the same equation as S = M, negated on both sides.
         params.update(genr.to_json_dict() | {"dim": args.dim})
-        a = ApproachingProblem(genr, args.dim - 1).matrix
+        a = genr.lie_element(args.dim - 1).to_matrix(args.dim - 1)
         rhs_sign = Fraction(1 if args.what == "symmetry" else -1)
         s = projected_involution(1, args.dim - 1)
         diff = _first_matrix_diff(s.mul(a), a.mul(s).scale(rhs_sign))
@@ -382,8 +393,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.pretty and args.format == "csv":
             raise ValueError("--pretty indents JSON output; drop it or use --format json")

@@ -4,10 +4,13 @@ Projecting a Lie-algebra element to its (n+1) x (n+1) section turns the
 series equation gamma' = L(gamma) into the linear ODE x' = A x on
 R^(n+1).  The section acting on a state is the series action on its
 generating series, so the exact flow of a monomial generator comes from
-the characteristic curves, and sections only verify it.  This module
-evaluates flows exactly or numerically, finds equilibria, and decides
-whether a given involution is a symmetry (S A S^-1 = A) or a time-reversal
-symmetry (S A S^-1 = -A) of a problem, at the generator level.
+the characteristic curves, and sections only verify it: a problem builds
+its section only when RK4, the equilibrium test or a symmetry test reads
+it.  This module computes flow states (exactly, in floats or by RK4),
+finds equilibria, and decides whether a given involution is a symmetry
+(S A S^-1 = A) or a time-reversal symmetry (S A S^-1 = -A) of a problem,
+at the generator level.  The `flow` command of the CLI samples and
+prints a flow at several times.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class UnsupportedGenerator(ValueError):
 class ApproachingProblem:
     """The linear ODE x' = A x with A the n-section of a generator."""
 
-    __slots__ = ("generator", "_lie", "n", "dim", "matrix")
+    __slots__ = ("generator", "_lie", "n", "dim")
 
     def __init__(self, generator: MonomialGenerator | LieElement, n: int):
         if n < 0:
@@ -49,7 +52,11 @@ class ApproachingProblem:
             raise TypeError("generator must be a MonomialGenerator or LieElement")
         self.n = n
         self.dim = n + 1
-        self.matrix = self._lie.to_matrix(n)
+
+    @property
+    def matrix(self) -> TriMatrix:
+        """The section A, built afresh on each read; exact monomial flows read none."""
+        return self._lie.to_matrix(self.n)
 
     @classmethod
     def creation(cls, dim: int) -> "ApproachingProblem":
@@ -60,10 +67,6 @@ class ApproachingProblem:
         if len(x) != self.dim:
             raise ValueError(f"state vector must have {self.dim} components")
         return tuple(x)
-
-    def is_creation_family(self) -> bool:
-        g = self.generator
-        return isinstance(g, MonomialGenerator) and (g.a, g.b, g.n) == (1, 1, 1)
 
 
 def project_flow(problem: ApproachingProblem, x0, t):
@@ -153,7 +156,7 @@ def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool
     orbit iff it holds distinct images of x0 and of the points at the
     `_ORBIT_SAMPLES` times, all on the orbit: three points fix a parabola.
     """
-    if not problem.is_creation_family() or problem.dim not in (2, 3):
+    if problem.generator != MonomialGenerator(1, 1, 1) or problem.dim not in (2, 3):
         raise UnsupportedGenerator(
             "orbit analysis is implemented for the creation family in dims 2 and 3"
         )
@@ -170,32 +173,6 @@ def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool
 def projected_involution(sign: int, n: int) -> TriMatrix:
     """The (n+1)-section of the diagonal involution (sign +1) or its negative."""
     return involution_m(sign, n).to_matrix(n)
-
-
-def flow_trace(problem: ApproachingProblem, x0, times, rk4_steps: int | None = None) -> dict:
-    """Sample the flow at the given times; optionally pair each row with RK4.
-
-    Returns a dict with a CSV-style header and one row ``{"t", "x"}`` per
-    time; when RK4 is requested each row also has ``"rk4"`` and the dict
-    has ``rk4_steps`` and the max absolute error over all samples.
-    """
-    x0 = problem._check_state(x0)
-    header = ["t"] + [f"x{i}" for i in range(problem.dim)]
-    rows = []
-    max_err = 0.0
-    for t in times:
-        state = project_flow(problem, x0, t)
-        row = {"t": t, "x": state}
-        if rk4_steps is not None:
-            approx = rk4_integrate(problem, x0, float(t), rk4_steps)
-            row["rk4"] = approx
-            max_err = max(max_err, max(abs(float(e) - r) for e, r in zip(state, approx)))
-        rows.append(row)
-    out = {"header": header, "rows": rows}
-    if rk4_steps is not None:
-        out["rk4_steps"] = rk4_steps
-        out["max_error"] = max_err
-    return out
 
 
 def pseudo_involution_flow_check(genr: MonomialGenerator, t, depth: int) -> bool:

@@ -22,7 +22,6 @@ float scaling and squaring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -89,19 +88,31 @@ class LieElement:
         return self._chi * h + self._alpha * h.xderiv()
 
 
-@dataclass(frozen=True)
 class MonomialGenerator:
     """Names L(a x^n, b x^n): the matrix with a + jb on the n-th subdiagonal."""
 
-    a: Fraction
-    b: Fraction
-    n: int
+    __slots__ = ("_key",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if self.n < 0:
-            raise ValueError(f"subdiagonal index must be >= 0, got {self.n}")
+    def __init__(self, a: Rational, b: Rational, n: int):
+        key = (as_fraction(a), as_fraction(b), n)
+        if n < 0:
+            raise ValueError(f"subdiagonal index must be >= 0, got {n}")
+        self._key = key
+
+    a = property(lambda self: self._key[0])
+    b = property(lambda self: self._key[1])
+    n = property(lambda self: self._key[2])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialGenerator):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return "MonomialGenerator(a={!r}, b={!r}, n={!r})".format(*self._key)
 
     def lie_element(self, trunc: int) -> LieElement:
         return LieElement(
@@ -266,6 +277,8 @@ def _taylor(scaled: TriMatrix, order: int) -> TriMatrix:
 
 def _expm_float(mat: TriMatrix) -> TriMatrix:
     norm = max(sum(abs(x) for x in row) for row in mat.rows)
+    if not math.isfinite(norm):  # halving inf never reaches 0.5
+        raise OverflowError("matrix exponential leaves the float range")
     squarings = 0
     while norm > 0.5:
         norm /= 2.0

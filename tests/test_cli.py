@@ -4,12 +4,16 @@ import argparse
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from riordan import cli
 from riordan.cli import build_parser, main
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
@@ -17,6 +21,7 @@ from riordan.group import RiordanMatrix, TriMatrix
 from oracles import dense, recurrence_holds
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(argv):
@@ -179,6 +184,21 @@ def test_float_overflow_is_a_clean_usage_error(argv):
     assert err.startswith("error: float overflow") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t", ["--t=1e308", "--t=-1e308"])
+def test_float_flow_at_an_infinite_scale_is_refused_not_looped(t):
+    # the scaled section's norm is inf, which no halving brings down to 0.5;
+    # a subprocess with a timeout, so that a hang fails the test
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["flow", "--mode", "float", "--dim", "3", "--x0", "1,0,0", t, "--a", "10", "--b", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "riordan", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: float overflow") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode,n", [("float", "0"), ("float", "1"), ("exact", "0"), ("exact", "1")])
 def test_exp_refuses_a_negative_truncation(mode, n):
     # refused before either branch builds a section
@@ -251,14 +271,22 @@ def test_flow_dim_two_line():
 
 
 def test_flow_rk4_columns_and_error_summary():
-    code, out, _ = run_cli(
-        ["flow", "--dim", "3", "--x0", "1,0,0", "--t", "1", "--rk4", "500"]
-    )
+    argv = ["flow", "--dim", "3", "--x0", "1,0,0", "--t", "0,1,2", "--rk4", "400"]
+    code, out, _ = run_cli(argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["rk4_steps"] == 500
+    assert doc["header"] == ["t", "x0", "x1", "x2"]
+    assert [row["x"] for row in doc["rows"]] == [["1", "0", "0"], ["1", "1", "1"], ["1", "2", "4"]]
+    assert doc["rk4_steps"] == 400
     assert doc["max_error"] < 1e-9
-    assert len(doc["rows"][0]["rk4"]) == 3
+    assert all(len(row["rk4"]) == 3 for row in doc["rows"])
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "t,x0,x1,x2,rk4_x0,rk4_x1,rk4_x2"
+    assert [line.split(",")[:4] for line in lines[1:4]] == [
+        ["0", "1", "0", "0"], ["1", "1", "1", "1"], ["2", "1", "2", "4"]
+    ]
+    assert lines[4] == f"# max_error,{doc['max_error']}" and len(lines) == 5
 
 
 def test_flow_csv_format():
@@ -461,6 +489,15 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once_per_process():
+    cli._parser.cache_clear()
+    assert run_cli(TRIANGLE)[0] == 0
+    with pytest.raises(SystemExit):  # a usage error reuses it too
+        run_cli([])
+    assert run_cli(FLOW)[0] == 0
+    assert cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 TRIANGLE = ["triangle", "pascal", "--rows", "3"]

@@ -11,7 +11,6 @@ from riordan.flows import (
     check_symmetry,
     check_time_reversal,
     equilibria_check,
-    flow_trace,
     orbit_symmetric_under,
     project_flow,
     projected_involution,
@@ -110,7 +109,7 @@ def test_exact_monomial_flow_matches_the_section_exponential():
 
 
 def test_exact_monomial_flow_reads_no_section_exponential(monkeypatch):
-    calls = {"oracle": 0, "mul": 0}
+    calls = {"oracle": 0, "mul": 0, "section": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -123,13 +122,17 @@ def test_exact_monomial_flow_reads_no_section_exponential(monkeypatch):
         "riordan.flows.exp_truncated_oracle", counted("oracle", exp_truncated_oracle)
     )
     monkeypatch.setattr(TriMatrix, "mul", counted("mul", TriMatrix.mul))
+    monkeypatch.setattr(LieElement, "to_matrix", counted("section", LieElement.to_matrix))
     p = monomial_problem(F(3, 2), F(-1, 2), 1, 12)
     x0 = tuple(F(k, 3) for k in range(12))
     for t in (F(0), F(-2, 3), F(5)):
         project_flow(p, x0, t)
-    assert calls == {"oracle": 0, "mul": 0}
+    # neither the problem nor its exact flows build the section
+    assert calls == {"oracle": 0, "mul": 0, "section": 0}
     project_flow(p, tuple(map(float, x0)), 0.5)
-    assert calls["oracle"] == 1
+    assert calls["oracle"] == 1 and calls["section"] == 1
+    rk4_integrate(p, x0, 0.5, 4)
+    assert calls["section"] == 2
 
 
 def test_exact_flow_of_a_zero_diagonal_lie_element():
@@ -448,21 +451,6 @@ def test_flow_escapes_to_infinity_on_the_sampled_grid():
                 assert norms[0] < norms[1] < norms[2]
 
 
-# -- traces ------------------------------------------------------------------------------
-
-
-def test_flow_trace_rows_and_error_summary():
-    p = ApproachingProblem.creation(3)
-    out = flow_trace(p, (1, 0, 0), [F(0), F(1), F(2)], rk4_steps=400)
-    assert out["header"] == ["t", "x0", "x1", "x2"]
-    assert [row["x"] for row in out["rows"]] == [
-        (1, 0, 0),
-        (1, 1, 1),
-        (1, 2, 4),
-    ]
-    assert out["max_error"] < 1e-9
-
-
 def test_problem_from_lie_element_with_nonzero_diagonal_uses_floats():
     p = ApproachingProblem(LieElement(Fps.one(4), Fps.one(4)), 2)
     moved = project_flow(p, (1.0, 1.0, 1.0), 0.0)
@@ -482,8 +470,6 @@ def test_exact_flow_on_a_nonzero_diagonal():
 
 def test_rational_t_takes_a_rational_state():
     p = ApproachingProblem.creation(2)
-    with pytest.raises(TypeError, match="float"):
-        flow_trace(p, (1.0, 0.0), [F(1)])
     with pytest.raises(TypeError, match="float"):
         project_flow(p, (F(1), 0.5), 2)
     got = project_flow(p, (1, 0), 2)  # an int state is rational

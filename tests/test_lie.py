@@ -69,6 +69,19 @@ def test_zero_element_section():
     assert elem([0], [0], 5).to_matrix(4) == TriMatrix.diagonal([F(0)] * 5)
 
 
+def test_monomial_generator_is_an_immutable_value():
+    g = MonomialGenerator(3, F(-1, 2), 2)
+    assert (g.a, g.b, g.n) == (F(3), F(-1, 2), 2) and type(g.a) is Fraction
+    assert g == MonomialGenerator(F(3), F(-1, 2), 2) and hash(g) == hash((F(3), F(-1, 2), 2))
+    assert g != (F(3), F(-1, 2), 2) and g != MonomialGenerator(3, F(-1, 2), 1)
+    assert repr(g) == "MonomialGenerator(a=Fraction(3, 1), b=Fraction(-1, 2), n=2)"
+    for name in ("a", "b", "n"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        MonomialGenerator(1, 1, -1)
+
+
 def test_pattern_matches_action_on_monomials():
     rng = Random(31)
     for _ in range(10):

@@ -31,21 +31,35 @@ def test_public_names_are_exactly_the_documented_set():
         "characteristic_solution", "conj_transport", "exp_monomial", "exp_truncated_oracle",
         # flows
         "ApproachingProblem", "UnsupportedGenerator", "check_symmetry", "check_time_reversal",
-        "equilibria_check", "flow_trace", "orbit_symmetric_under", "project_flow",
+        "equilibria_check", "orbit_symmetric_under", "project_flow",
         "projected_involution", "pseudo_involution_flow_check", "rk4_integrate",
     }
     assert all(hasattr(riordan, name) for name in riordan.__all__)
 
 
-def test_module_entry_point_prints_the_golden_triangle():
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports riordan from src/."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_module_entry_point_prints_the_golden_triangle():
     proc = subprocess.run(
         [sys.executable, "-m", "riordan", "triangle", "pascal", "--rows", "8"],
-        capture_output=True, env=env, timeout=60,
+        capture_output=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == (GOLDEN / "triangle_pascal_rows8.json").read_bytes()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # each would add its import time to every CLI start
+    code = "import sys, riordan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "perfbench/naive.py"])
