@@ -313,9 +313,11 @@ def cmd_check(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.what == "ftrm" and args.dim < 1:
         raise ValueError(f"--dim must be >= 1, got {args.dim}")
-    # The generator lives on subdiagonal n, so a section of dim <= n is all zero.
+    # The generator lives on subdiagonal n, so a section of index < n is all zero.
     if args.what in ("symmetry", "time-reversal") and args.dim <= genr.n:
         raise ValueError(f"--dim must be > --n ({genr.n}), got {args.dim}")
+    if args.what == "pseudo-involution" and depth < genr.n:
+        raise ValueError(f"--depth must be >= --n ({genr.n}), got {depth}")
     counterexample = None
     params: dict = {"seed": args.seed}
 
@@ -340,6 +342,8 @@ def cmd_check(args) -> int:
         trunc = args.trunc if args.trunc is not None else 12
         if trunc < 1:
             raise ValueError(f"--trunc must be >= 1, got {trunc}")
+        if trunc < genr.n:
+            raise ValueError(f"--trunc must be >= --n ({genr.n}), got {trunc}")
         params.update(genr.to_json_dict() | {"t": str(t), "trunc": trunc})
         counterexample = _oracle_diff(genr, t, exp_monomial(genr, t, trunc).to_matrix(trunc))
 

@@ -5,12 +5,13 @@ series equation gamma' = L(gamma) into the linear ODE x' = A x on
 R^(n+1).  The section acting on a state is the series action on its
 generating series, so the exact flow of a monomial generator comes from
 the characteristic curves, and sections only verify it: a problem builds
-its section only when RK4, the equilibrium test or a symmetry test reads
-it.  This module computes flow states (exactly, in floats or by RK4),
-finds equilibria, and decides whether a given involution is a symmetry
+its section only when RK4, a float flow or a symmetry test reads it.
+This module computes flow states (exactly, in floats or by RK4), finds
+equilibria, and decides whether a given involution is a symmetry
 (S A S^-1 = A) or a time-reversal symmetry (S A S^-1 = -A) of a problem,
-at the generator level.  The `flow` command of the CLI samples and
-prints a flow at several times.
+at the generator level, and whether a lower-triangular S maps the orbit
+of a nilpotent flow onto itself.  The `flow` command of the CLI samples
+and prints a flow at several times.
 """
 
 from __future__ import annotations
@@ -18,17 +19,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fps import Fps, as_fraction
+from .fps import Fps
 from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
 from .lie import LieElement, MonomialGenerator, _taylor, characteristic_solution
 from .lie import exp_monomial, exp_truncated_oracle
 
-#: Flow times whose points, with x0, decide orbit_symmetric_under.
-_ORBIT_SAMPLES = (Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
-
 
 class UnsupportedGenerator(ValueError):
-    """Closed-form orbit analysis is only available for the creation family."""
+    """Orbit analysis needs a generator with a zero diagonal (a nilpotent section)."""
 
 
 class ApproachingProblem:
@@ -105,10 +103,17 @@ def rk4_integrate(problem: ApproachingProblem, x0, t: float, steps: int):
     return x
 
 
+def _velocity(problem: ApproachingProblem, x) -> tuple:
+    """A x for a rational state: the series action on sum x_i x^i, truncated.
+
+    A float component raises TypeError.
+    """
+    return problem._lie.act(Fps(problem._check_state(x), problem.n)).coeffs
+
+
 def equilibria_check(problem: ApproachingProblem, x) -> bool:
-    """True iff A x = 0 exactly."""
-    x = problem._check_state(x)
-    return all(v == 0 for v in problem.matrix.matvec(x))
+    """True iff A x = 0 exactly.  Exact: x is rational."""
+    return not any(_velocity(problem, x))
 
 
 def check_symmetry(s: TriMatrix, problem: ApproachingProblem) -> bool:
@@ -126,47 +131,31 @@ def check_time_reversal(s: TriMatrix, problem: ApproachingProblem) -> bool:
     return s.mul(a) == a.mul(s).scale(Fraction(-1))
 
 
-def _orbit_signature(x):
-    """Complete orbit invariants for the creation family in dims 2 and 3.
-
-    Dim 2: the orbit through (a, b) with a != 0 is the whole line x0 = a.
-    Dim 3: the orbit through (a, b, c) with a != 0 is the parabola with
-    constants (a, c - b^2/a); with a = 0, b != 0 it is the line
-    x0 = 0, x1 = b.  Equilibria return None (singleton orbits).
-    """
-    if len(x) == 2:
-        a, _ = x
-        if a == 0:
-            return None
-        return ("line", a)
-    a, b, c = x
-    if a == 0 and b == 0:
-        return None
-    if a == 0:
-        return ("line", b)
-    return ("parabola", a, c - b * b / a)
-
-
 def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool:
     """Does S map the orbit through x0 onto itself?  Exact: x0 is rational.
 
-    An equilibrium is its own orbit, so the test is S x0 = x0.  Any other
-    orbit is a whole line or vertical parabola, which a lower-triangular S
-    maps onto a line, a vertical parabola or a point.  That image is the
-    orbit iff it holds distinct images of x0 and of the points at the
-    `_ORBIT_SAMPLES` times, all on the orbit: three points fix a parabola.
+    An equilibrium is its own orbit, so the test is S x0 = x0.  Otherwise A,
+    which has a zero diagonal, is nilpotent; let k be the first index with
+    (A x0)_k != 0.  On the orbit x(t) the coordinates before k are constant
+    and x_k(t) = x0_k + t (A x0)_k, so a lower-triangular S can map the
+    orbit onto itself only as S x(t) = x(alpha t + beta), with
+    alpha = S_kk != 0 and beta = ((S x0)_k - x0_k) / (A x0)_k.  Both sides
+    are polynomials in t of degree below dim, so dim sample times decide it.
     """
-    if problem.generator != MonomialGenerator(1, 1, 1) or problem.dim not in (2, 3):
-        raise UnsupportedGenerator(
-            "orbit analysis is implemented for the creation family in dims 2 and 3"
-        )
-    x0 = tuple(map(as_fraction, problem._check_state(x0)))
-    sig = _orbit_signature(x0)
-    if sig is None:
+    if not problem._lie.has_zero_diagonal:
+        raise UnsupportedGenerator("orbit analysis needs a generator with a zero diagonal")
+    x0 = problem._check_state(x0)
+    v = _velocity(problem, x0)
+    if not any(v):
         return s.matvec(x0) == x0
-    images = {s.matvec(project_flow(problem, x0, t)) for t in (0, *_ORBIT_SAMPLES)}
-    return len(images) == 1 + len(_ORBIT_SAMPLES) and all(
-        _orbit_signature(y) == sig for y in images
+    k = next(i for i, vi in enumerate(v) if vi)
+    alpha = s.rows[k][k]
+    if not alpha:
+        return False
+    beta = (s.matvec(x0)[k] - x0[k]) / v[k]
+    return all(
+        s.matvec(project_flow(problem, x0, t)) == project_flow(problem, x0, alpha * t + beta)
+        for t in range(problem.dim)
     )
 
 

@@ -172,6 +172,27 @@ def rk4_stages(a, x0, t, steps):
     return x
 
 
+def orbit_signature(x):
+    """Complete orbit invariants for the creation family in dims 2 and 3.
+
+    Dim 2: the orbit through (a, b) with a != 0 is the whole line x0 = a.
+    Dim 3: the orbit through (a, b, c) with a != 0 is the parabola with
+    constants (a, c - b^2/a); with a = 0, b != 0 it is the line
+    x0 = 0, x1 = b.  Equilibria return None (singleton orbits).
+    """
+    if len(x) == 2:
+        a, _ = x
+        if a == 0:
+            return None
+        return ("line", a)
+    a, b, c = x
+    if a == 0 and b == 0:
+        return None
+    if a == 0:
+        return ("line", b)
+    return ("parabola", a, c - b * b / a)
+
+
 def dense(trimatrix):
     """TriMatrix -> dense list-of-lists with explicit zeros above the diagonal."""
     d = trimatrix.dim

@@ -452,15 +452,34 @@ def test_check_refuses_sizes_that_examine_no_case(argv, flag):
     assert err == f"error: {flag} must be >= 1, got {argv[argv.index(flag) + 1]}\n"
 
 
-@pytest.mark.parametrize("what", ["symmetry", "time-reversal"])
-@pytest.mark.parametrize("n,dim", [(2, 2), (3, 1)])
-def test_check_refuses_a_section_the_generator_misses(what, n, dim):
-    # A section of dim <= n is all zero and would pass vacuously.
-    argv = ["check", what, "--a", "1", "--b", "1", "--n", str(n), "--dim", str(dim)]
+@pytest.mark.parametrize(
+    "n,size,what",
+    [
+        (2, 2, "symmetry"),
+        (2, 2, "time-reversal"),
+        (3, 1, "symmetry"),
+        (3, 1, "time-reversal"),
+        (2, 1, "pseudo-involution"),
+        (3, 2, "oracle-exp"),
+    ],
+)
+def test_check_refuses_a_section_the_generator_misses(n, size, what):
+    # A section of dim <= n (index < n) is all zero and would pass vacuously.
+    flag = {"pseudo-involution": "--depth", "oracle-exp": "--trunc"}.get(what, "--dim")
+    argv = ["check", what, "--a", "1", "--b", "1", "--n", str(n), flag, str(size)]
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: --dim must be > --n ({n}), got {dim}\n"
+    bound = f"> --n ({n})" if flag == "--dim" else f">= --n ({n})"
+    assert err == f"error: {flag} must be {bound}, got {size}\n"
+
+
+def test_check_examines_a_section_that_just_reaches_the_generator():
+    # At index n the section holds the generator, so the suite runs and can fail.
+    code, out, _ = run_cli(["check", "pseudo-involution", "--n", "2", "--depth", "2"])
+    assert code == 1 and json.loads(out)["counterexample"] is not None
+    code, out, _ = run_cli(["check", "oracle-exp", "--n", "3", "--trunc", "3"])
+    assert code == 0 and json.loads(out)["params"]["trunc"] == 3
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     nilpotent_exp,
+    orbit_signature,
     rand_coeffs,
     rand_fraction,
     rk4_stages,
@@ -409,13 +410,112 @@ def test_singular_s_fixing_a_line_orbit_is_a_symmetry():
     assert orbit_symmetric_under(s, ApproachingProblem.creation(3), (F(0), F(1), F(0)))
 
 
-def test_orbit_analysis_limited_to_the_creation_family():
-    p = monomial_problem(2, 1, 1, 2)
+def test_singular_s_stopping_the_flow_is_not_a_symmetry():
+    # the orbit through (0, 1, 0) is the line {(0, 1, z)}; diag(1, 1, 0) sends it to one point
+    s = TriMatrix.diagonal([F(1), F(1), F(0)])
+    assert not orbit_symmetric_under(s, ApproachingProblem.creation(3), (F(0), F(1), F(0)))
+
+
+def test_orbit_analysis_refuses_a_nonzero_diagonal():
+    p = monomial_problem(1, 1, 0, 3)
     with pytest.raises(UnsupportedGenerator):
-        orbit_symmetric_under(projected_involution(1, 1), p, (F(1), F(0)))
-    big = ApproachingProblem.creation(5)
+        orbit_symmetric_under(projected_involution(1, 2), p, (F(1), F(0), F(0)))
+
+
+#: Flow times whose points, with x0, decide _orbit_by_invariants.
+_ORBIT_TIMES = (0, -2, -1, F(1, 2), 1, 2)
+
+
+def _orbit_by_invariants(s, flow_maps, x0):
+    """The dims 2-3 creation-family decision from the orbit invariants.
+
+    A non-equilibrium orbit is a line or a vertical parabola, which S maps
+    onto itself iff it sends the points at the `_ORBIT_TIMES`, x0 among
+    them, to six distinct points of it.
+    """
+    sig = orbit_signature(x0)
+    if sig is None:
+        return mat_vec(s, x0) == list(x0)
+    images = {tuple(mat_vec(s, mat_vec(e, x0))) for e in flow_maps}
+    return len(images) == len(flow_maps) and all(orbit_signature(y) == sig for y in images)
+
+
+def test_orbit_rule_matches_the_creation_family_invariants():
+    rng = Random(48)
+    entries = (F(0), F(0), F(1), F(-1), F(2), F(-1, 3))
+    problems = {dim: ApproachingProblem.creation(dim) for dim in (2, 3)}
+    sections = {dim: dense(p.matrix) for dim, p in problems.items()}
+    flow_maps = {dim: [nilpotent_exp(a, t) for t in _ORBIT_TIMES] for dim, a in sections.items()}
+    seen = []
+    for case in range(300):
+        dim, kind = 2 + case % 2, case // 2 % 4
+        x0 = tuple(rng.choice(entries) for _ in range(dim))
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+        if kind == 0:  # a diagonal involution
+            s = [[F(signs[i]) if i == j else F(0) for j in range(dim)] for i in range(dim)]
+        elif kind == 1:  # a singular diagonal
+            s = [[rng.choice(entries) if i == j else F(0) for j in range(dim)] for i in range(dim)]
+        elif kind == 2:  # a rational lower-triangular matrix
+            s = [[rand_fraction(rng) if j <= i else F(0) for j in range(dim)] for i in range(dim)]
+        else:  # a flow map composed with the involution M or -M
+            m = [[F(signs[0] * (-1) ** i) if i == j else F(0) for j in range(dim)] for i in range(dim)]
+            s = mat_mul(m, nilpotent_exp(sections[dim], rand_fraction(rng)))
+        want = _orbit_by_invariants(s, flow_maps[dim], x0)
+        got = orbit_symmetric_under(
+            TriMatrix([row[: i + 1] for i, row in enumerate(s)]), problems[dim], x0
+        )
+        assert got == want, (s, x0)
+        seen.append((kind, want))
+    assert set(seen) == {(kind, want) for kind in range(4) for want in (True, False)}
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_m_maps_orbits_onto_themselves_at_every_dim(n, dim):
+    # M fixes x0 and is a time reversal (odd n) or a symmetry (even n), so it
+    # maps the orbit onto itself; -M flips the constant first coordinate
+    p = monomial_problem(F(3, 2), F(-1, 2), n, dim)
+    x0 = tuple(F((i + 1) % 2) for i in range(dim))
+    assert orbit_symmetric_under(projected_involution(1, dim - 1), p, x0)
+    assert not orbit_symmetric_under(projected_involution(-1, dim - 1), p, x0)
+
+
+def test_orbits_of_a_zero_diagonal_lie_element():
+    # odd chi and alpha: M A M = -A, so M x(t) = x(-t) once M fixes x0
+    n = 5
+    elt = LieElement(Fps([0, 1, 0, F(-2, 3), 0, 3], n), Fps([0, 2, 0, 0, 0, F(1, 2)], n))
+    p = ApproachingProblem(elt, n)
+    x0 = (F(1), F(0), F(2), F(0), F(1, 2), F(0))
+    m = projected_involution(1, n)
+    assert orbit_symmetric_under(m, p, x0)
+    assert orbit_symmetric_under(m.mul(exp_truncated_oracle(elt, 1, n)), p, x0)
+    assert not orbit_symmetric_under(projected_involution(-1, n), p, x0)
+    assert not orbit_symmetric_under(TriMatrix.diagonal([F(1)] * n + [F(2)]), p, x0)
+    # a LieElement problem takes the section route, a monomial one the characteristic curves
+    genr = MonomialGenerator(F(3, 2), F(-1, 2), 2)
+    monomial = ApproachingProblem(genr, 5)
+    section = ApproachingProblem(genr.lie_element(5), 5)
+    for s in (m, projected_involution(-1, 5), exp_truncated_oracle(elt, F(1, 2), 5)):
+        assert orbit_symmetric_under(s, monomial, x0) == orbit_symmetric_under(s, section, x0)
     with pytest.raises(UnsupportedGenerator):
-        orbit_symmetric_under(projected_involution(1, 4), big, (F(1),) * 5)
+        orbit_symmetric_under(m, ApproachingProblem(LieElement(Fps.one(n), elt.alpha), n), x0)
+
+
+def test_equilibrium_and_orbit_tests_read_no_section(monkeypatch):
+    calls = []
+    to_matrix = LieElement.to_matrix
+    monkeypatch.setattr(LieElement, "to_matrix", lambda *args: calls.append(1) or to_matrix(*args))
+    p = monomial_problem(F(3, 2), F(-1, 2), 1, 6)
+    x0 = (F(1), F(0), F(1), F(0), F(1), F(0))
+    assert not equilibria_check(p, x0)
+    assert orbit_symmetric_under(TriMatrix.identity(6), p, x0)
+    assert calls == []
+
+
+def test_equilibria_check_refuses_a_float_state():
+    p = ApproachingProblem.creation(3)
+    with pytest.raises(TypeError, match="float"):
+        equilibria_check(p, (0.0, 0.0, 1.0))
 
 
 # -- structure of the projections ------------------------------------------------------
