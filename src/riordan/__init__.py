@@ -40,8 +40,6 @@ from .flows import (
     equilibria_check,
     orbit_symmetric_under,
     project_flow,
-    projected_involution,
-    pseudo_involution_flow_check,
     rk4_integrate,
 )
 

@@ -30,7 +30,7 @@ from .lie import (
     exp_monomial,
     exp_truncated_oracle,
 )
-from .flows import ApproachingProblem, project_flow, projected_involution, rk4_integrate
+from .flows import ApproachingProblem, project_flow, rk4_integrate
 
 NAMED_TRIANGLES = ("pascal", "identity", "m", "minus-m")
 CHECKS = ("pseudo-involution", "symmetry", "time-reversal", "oracle-exp", "ftrm", "a-sequence")
@@ -328,15 +328,17 @@ def cmd_check(args) -> int:
         counterexample = _first_matrix_diff(square, TriMatrix.identity(depth + 1))
 
     elif args.what in ("symmetry", "time-reversal"):
-        # S A S^-1 = A (symmetry) or -A (time reversal), tested as S A = +-A S.
-        # S = -M gives the same equation as S = M, negated on both sides.
+        # S A S^-1 = A (symmetry) or -A (time reversal), read as S A = +-A S;
+        # S = -M poses the same equation as S = M.  M = diag((-1)^i) scales the
+        # cell (n + j, j) = a + j b of A by (-1)^(n+j) on the left and by
+        # (-1)^j on the right, so only the parity of n and a + j b can break it.
         params.update(genr.to_json_dict() | {"dim": args.dim})
-        a = genr.lie_element(args.dim - 1).to_matrix(args.dim - 1)
-        rhs_sign = Fraction(1 if args.what == "symmetry" else -1)
-        s = projected_involution(1, args.dim - 1)
-        diff = _first_matrix_diff(s.mul(a), a.mul(s).scale(rhs_sign))
-        if diff:
-            counterexample = {"involution": "M"} | diff
+        sign = 1 if args.what == "symmetry" else -1
+        j = next((j for j in range(args.dim - genr.n) if genr.a + j * genr.b), None)
+        if (-1) ** genr.n != sign and j is not None:
+            lhs = (-1) ** (genr.n + j) * (genr.a + j * genr.b)
+            cell = {"i": genr.n + j, "j": j, "lhs": str(lhs), "rhs": str(-lhs)}
+            counterexample = {"involution": "M"} | cell
 
     elif args.what == "oracle-exp":
         trunc = args.trunc if args.trunc is not None else 12

@@ -20,9 +20,9 @@ import math
 from fractions import Fraction
 
 from .fps import Fps
-from .group import InsufficientTruncation, TriMatrix, involution_m, is_pseudo_involution
-from .lie import LieElement, MonomialGenerator, _taylor, characteristic_solution
-from .lie import exp_monomial, exp_truncated_oracle
+from .group import InsufficientTruncation, TriMatrix
+from .lie import LieElement, MonomialGenerator, _taylor
+from .lie import characteristic_solution, exp_truncated_oracle
 
 
 class UnsupportedGenerator(ValueError):
@@ -158,15 +158,3 @@ def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool
         for t in range(problem.dim)
     )
 
-
-def projected_involution(sign: int, n: int) -> TriMatrix:
-    """The (n+1)-section of the diagonal involution (sign +1) or its negative."""
-    return involution_m(sign, n).to_matrix(n)
-
-
-def pseudo_involution_flow_check(genr: MonomialGenerator, t, depth: int) -> bool:
-    """(e^(tL) M)^2 = I through the depth-section, for the series-level subgroup.
-
-    The section reads only coefficients through depth, so e^(tL) is built there.
-    """
-    return is_pseudo_involution(exp_monomial(genr, t, depth), depth)

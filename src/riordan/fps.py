@@ -136,10 +136,12 @@ class Fps:
         """The series ``coeff * x**power`` (zero if power exceeds trunc)."""
         if power < 0:
             raise SeriesError(f"monomial power must be >= 0, got {power}")
-        cs = [_ZERO] * (trunc + 1 if trunc >= 0 else 0)
+        if trunc < 0:
+            raise InvalidTruncation(f"truncation order must be >= 0, got {trunc}")
+        cs = [_ZERO] * (trunc + 1)
         if power <= trunc:
             cs[power] = as_fraction(coeff)
-        return cls(cs, trunc)
+        return cls._from_tuple(tuple(cs))
 
     # -- inspection --------------------------------------------------
 
@@ -243,11 +245,13 @@ class Fps:
             raise InvalidTruncation(
                 f"cannot extend trunc {self.trunc} to {trunc}: higher coefficients unknown"
             )
-        return Fps(self._coeffs[: trunc + 1], trunc)
+        if trunc < 0:
+            raise InvalidTruncation(f"truncation order must be >= 0, got {trunc}")
+        return Fps._from_tuple(self._coeffs[: trunc + 1])
 
     def xmul(self) -> "Fps":
         """Multiply by x, keeping the truncation order (top coefficient drops)."""
-        return Fps((_ZERO,) + self._coeffs[:-1], self.trunc)
+        return Fps._from_tuple((_ZERO,) + self._coeffs[:-1])
 
     def xdiv(self) -> "Fps":
         """Divide by x; requires a zero constant term.  Truncation drops by one."""
@@ -255,11 +259,11 @@ class Fps:
             raise SeriesError("cannot divide by x: nonzero constant term")
         if self.trunc == 0:
             raise InvalidTruncation("cannot divide a trunc-0 series by x")
-        return Fps(self._coeffs[1:], self.trunc - 1)
+        return Fps._from_tuple(self._coeffs[1:])
 
     def xderiv(self) -> "Fps":
         """x * f'(x), computed without losing the top coefficient."""
-        return Fps([k * c for k, c in enumerate(self._coeffs)], self.trunc)
+        return Fps._from_tuple(tuple([k * c for k, c in enumerate(self._coeffs)]))
 
     # -- multiplicative structure ------------------------------------
 

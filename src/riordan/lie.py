@@ -15,8 +15,9 @@ computes that solution directly from the characteristic curves as an
 independent route; it also gives the exact flows of `flows.project_flow`.
 `exp_truncated_oracle` exponentiates finite sections and is the oracle
 the closed forms are tested against: for a rational t as a finite Taylor
-sum on integer numerators over one common denominator, for a float t by
-float scaling and squaring.
+sum on the integer section read off the numerators of chi, alpha and t
+over one common denominator, with no Fraction section built; for a float
+t by float scaling and squaring of the section.
 """
 
 from __future__ import annotations
@@ -220,29 +221,34 @@ def exp_truncated_oracle(elt: LieElement, t, n: int) -> TriMatrix:
     nonzero diagonal at rational t != 0 has the irrational entries
     exp(t(chi(0) + j alpha(0))) and raises ExactModeIrrational.
     """
-    mat = elt.to_matrix(n)
+    if n > elt.trunc:
+        raise InsufficientTruncation(f"matrix section {n} needs trunc >= {n}, have {elt.trunc}")
     if isinstance(t, float):
-        return _expm_float(mat.as_float().scale(t))
+        return _expm_float(elt.to_matrix(n).as_float().scale(t))
     t = as_fraction(t)
     if t and not elt.has_zero_diagonal:
         raise ExactModeIrrational(
             "a nonzero diagonal gives entries exp(t(chi(0) + j alpha(0))); use float mode"
         )
-    return _exp_nilpotent_exact(mat.scale(t))
+    return _exp_nilpotent_exact(elt, t, n)
 
 
-def _exp_nilpotent_exact(scaled: TriMatrix) -> TriMatrix:
-    """exp of a strictly lower-triangular Fraction section, as exact Fractions.
+def _exp_nilpotent_exact(elt: LieElement, t: Fraction, n: int) -> TriMatrix:
+    """exp of the (n+1)-section of t * elt, nilpotent or zero, as exact Fractions.
 
-    Writes the section as N / d with N an integer section, so the K-th
-    partial Taylor sum is sum_k N^k d^(K-k) K!/k! over the one denominator
-    d^K K!.  The powers of N are integer products, each step rescales the
-    integer sum by d k, and each entry is reduced once at the end.  Stops
-    at the first all-zero power.
+    Reads the section of t * elt as N / d with N an integer section: the
+    numerators of chi and alpha over their common denominator, times those
+    of t.  The K-th partial Taylor sum is sum_k N^k d^(K-k) K!/k! over the
+    one denominator d^K K!.  The powers of N are integer products, each
+    step rescales the integer sum by d k, and each entry is reduced once at
+    the end.  Stops at the first all-zero power.
     """
-    dim = scaled.dim
-    flat, d = _over_common_denominator([x for row in scaled.rows for x in row])
-    rows = [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(dim)]
+    dim = n + 1
+    nums, d = _over_common_denominator(elt.chi.coeffs[:dim] + elt.alpha.coeffs[:dim])
+    chi = [t.numerator * x for x in nums[:dim]]
+    alpha = [t.numerator * x for x in nums[dim:]]
+    d *= t.denominator
+    rows = [[chi[i - j] + j * alpha[i - j] for j in range(i + 1)] for i in range(dim)]
     cols = [[row[j] for row in rows[j:]] for j in range(dim)]
     acc = [[1 if i == j else 0 for j in range(i + 1)] for i in range(dim)]
     power, denom = rows, 1

@@ -118,6 +118,16 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
+def first_commutation_failure(s, a, sign):
+    """First cell (i, j), row by row, where S A != sign * A S on dense lists; None if none."""
+    lhs, rhs = mat_mul(s, a), mat_scale(mat_mul(a, s), sign)
+    for i in range(len(a)):
+        for j in range(i + 1):
+            if lhs[i][j] != rhs[i][j]:
+                return {"i": i, "j": j, "lhs": str(lhs[i][j]), "rhs": str(rhs[i][j])}
+    return None
+
+
 def lower_tri_inverse(a):
     """Invert a lower-triangular matrix by forward substitution, exactly."""
     dim = len(a)

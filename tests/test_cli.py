@@ -9,7 +9,9 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -17,8 +19,9 @@ from riordan import cli
 from riordan.cli import build_parser, main
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
+from riordan.lie import LieElement
 
-from oracles import dense, recurrence_holds
+from oracles import dense, first_commutation_failure, recurrence_holds
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -356,19 +359,35 @@ def test_check_symmetry_even_n_passes():
     assert json.loads(out)["passed"] is True
 
 
-def test_check_symmetry_makes_one_product_per_side(monkeypatch):
-    # S = -M poses the same equation as S = M, so only M is tested
+def test_check_symmetry_builds_no_section(monkeypatch):
+    # the suite decides by the parity of n
     calls = []
-    real = TriMatrix.mul
+    monkeypatch.setattr(TriMatrix, "mul", lambda *a: calls.append("mul"))
+    monkeypatch.setattr(LieElement, "to_matrix", lambda *a: calls.append("section"))
+    for what, code_wanted in (("symmetry", 0), ("time-reversal", 1)):
+        code, out, _ = run_cli(["check", what, "--n", "2", "--dim", "8"])
+        assert code == code_wanted and json.loads(out)["passed"] is (code_wanted == 0)
+    assert calls == []
 
-    def counted(self, other):
-        calls.append(self.dim)
-        return real(self, other)
 
-    monkeypatch.setattr(TriMatrix, "mul", counted)
-    code, out, _ = run_cli(["check", "symmetry", "--n", "2", "--dim", "8"])
-    assert code == 0 and json.loads(out)["passed"] is True
-    assert calls == [8, 8]
+def test_check_symmetry_matches_the_dense_commutation_oracle():
+    # M = diag(1, -1, 1, ...) against the dense section of L(a x^n, b x^n), n < dim
+    rng, codes = Random(24), set()
+    for _ in range(80):
+        a, b = rng.choice(("0", "1", "-2", "3/2")), rng.choice(("0", "1", "-1/2", "2"))
+        n = rng.randint(0, 3)
+        dim = rng.randint(n + 1, 9)
+        what = rng.choice(("symmetry", "time-reversal"))
+        code, out, _ = run_cli(["check", what, f"--a={a}", f"--b={b}", f"--n={n}", f"--dim={dim}"])
+        m = [[Fraction((-1) ** i * (i == j)) for j in range(dim)] for i in range(dim)]
+        gen = [
+            [(i - j == n) * (Fraction(a) + j * Fraction(b)) for j in range(dim)] for i in range(dim)
+        ]
+        want = first_commutation_failure(m, gen, 1 if what == "symmetry" else -1)
+        assert code == (want is not None)
+        assert json.loads(out)["counterexample"] == (want and {"involution": "M"} | want)
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_check_time_reversal_even_n_fails_with_counterexample():

@@ -13,13 +13,17 @@ from riordan.flows import (
     equilibria_check,
     orbit_symmetric_under,
     project_flow,
-    projected_involution,
-    pseudo_involution_flow_check,
     rk4_integrate,
 )
 from riordan.fps import Fps
-from riordan.group import RiordanMatrix, TriMatrix
-from riordan.lie import ExactModeIrrational, LieElement, MonomialGenerator, exp_truncated_oracle
+from riordan.group import RiordanMatrix, TriMatrix, involution_m, is_pseudo_involution
+from riordan.lie import (
+    ExactModeIrrational,
+    LieElement,
+    MonomialGenerator,
+    exp_monomial,
+    exp_truncated_oracle,
+)
 
 from oracles import (
     dense,
@@ -268,7 +272,7 @@ def test_equilibria_are_unstable_liapunov_witness():
 
 def test_m_is_a_symmetry_for_even_subdiagonals():
     p = monomial_problem(1, 1, 2, 4)
-    assert check_symmetry(projected_involution(1, 3), p)
+    assert check_symmetry(involution_m(1, 3).to_matrix(3), p)
 
 
 def test_minus_identity_is_a_symmetry_of_the_creation_problem():
@@ -279,13 +283,13 @@ def test_minus_identity_is_a_symmetry_of_the_creation_problem():
 
 def test_m_is_not_a_symmetry_for_odd_subdiagonals():
     p = ApproachingProblem.creation(4)
-    assert not check_symmetry(projected_involution(1, 3), p)
+    assert not check_symmetry(involution_m(1, 3).to_matrix(3), p)
 
 
 def test_m_is_a_time_reversal_for_the_creation_problem():
     p = ApproachingProblem.creation(2)
-    assert check_time_reversal(projected_involution(1, 1), p)
-    assert check_time_reversal(projected_involution(-1, 1), p)
+    assert check_time_reversal(involution_m(1, 1).to_matrix(1), p)
+    assert check_time_reversal(involution_m(-1, 1).to_matrix(1), p)
 
 
 def test_identity_is_not_a_time_reversal():
@@ -298,7 +302,7 @@ def test_symmetry_vs_time_reversal_by_parity():
         for a, b in ((F(1), F(1)), (F(-2), F(3))):
             p = ApproachingProblem(MonomialGenerator(a, b, n), 9)
             for sign in (1, -1):
-                s = projected_involution(sign, 9)
+                s = involution_m(sign, 9).to_matrix(9)
                 if n % 2 == 0:
                     assert check_symmetry(s, p)
                     assert not check_time_reversal(s, p)
@@ -314,7 +318,7 @@ def test_time_reversal_transforms_solutions():
         p = ApproachingProblem(MonomialGenerator(F(2), F(-1), n), 7)
         x0 = tuple(rand_fraction(rng) for _ in range(8))
         for sign in (1, -1):
-            s = projected_involution(sign, 7)
+            s = involution_m(sign, 7).to_matrix(7)
             for t in (F(1, 2), F(2), F(-1)):
                 lhs = s.matvec(project_flow(p, x0, -t))
                 rhs = project_flow(p, s.matvec(x0), t)
@@ -324,10 +328,8 @@ def test_time_reversal_transforms_solutions():
 def test_pseudo_involution_at_flow_level_for_odd_n():
     for n in (1, 3):
         for t in (F(1), F(-1, 2)):
-            assert pseudo_involution_flow_check(
-                MonomialGenerator(F(2), F(3), n), t, depth=8
-            )
-    assert not pseudo_involution_flow_check(MonomialGenerator(F(1), F(1), 2), F(1), depth=8)
+            assert is_pseudo_involution(exp_monomial(MonomialGenerator(F(2), F(3), n), t, 8), 8)
+    assert not is_pseudo_involution(exp_monomial(MonomialGenerator(F(1), F(1), 2), F(1), 8), 8)
 
 
 def test_pseudo_involution_flow_check_matches_squared_section_oracle():
@@ -341,7 +343,7 @@ def test_pseudo_involution_flow_check_matches_squared_section_oracle():
             e = nilpotent_exp(dense(genr.lie_element(depth).to_matrix(depth)), t)
             em = [[x * (-1) ** j for j, x in enumerate(row)] for row in e]  # e M, column signs
             want = mat_mul(em, em) == mat_identity(depth + 1)
-            assert pseudo_involution_flow_check(genr, t, depth) == want
+            assert is_pseudo_involution(exp_monomial(genr, t, depth), depth) == want
             seen.add((n % 2, want))
     assert seen == {(1, True), (0, False)}
 
@@ -351,32 +353,32 @@ def test_pseudo_involution_flow_check_matches_squared_section_oracle():
 
 def test_line_orbits_are_m_symmetric():
     p = ApproachingProblem.creation(2)
-    m = projected_involution(1, 1)
+    m = involution_m(1, 1).to_matrix(1)
     for a, b in ((F(1), F(0)), (F(-2), F(7)), (F(1, 3), F(-1))):
         assert orbit_symmetric_under(m, p, (a, b))
 
 
 def test_line_orbits_are_not_minus_m_symmetric():
     p = ApproachingProblem.creation(2)
-    minus_m = projected_involution(-1, 1)
+    minus_m = involution_m(-1, 1).to_matrix(1)
     for a, b in ((F(1), F(0)), (F(-2), F(7))):
         assert not orbit_symmetric_under(minus_m, p, (a, b))
 
 
 def test_fixed_equilibrium_orbits_are_symmetric():
     p = ApproachingProblem.creation(2)
-    m = projected_involution(1, 1)
+    m = involution_m(1, 1).to_matrix(1)
     assert orbit_symmetric_under(m, p, (F(0), F(0)))
     # M fixes (0, b) only at b = 0; elsewhere the singleton moves
     assert not orbit_symmetric_under(m, p, (F(0), F(3)))
-    minus_m = projected_involution(-1, 1)
+    minus_m = involution_m(-1, 1).to_matrix(1)
     assert orbit_symmetric_under(minus_m, p, (F(0), F(3)))
 
 
 def test_parabola_orbits():
     p = ApproachingProblem.creation(3)
-    m = projected_involution(1, 2)
-    minus_m = projected_involution(-1, 2)
+    m = involution_m(1, 2).to_matrix(2)
+    minus_m = involution_m(-1, 2).to_matrix(2)
     for a, b, c in ((F(1), F(2), F(3)), (F(-1), F(0), F(5))):
         assert orbit_symmetric_under(m, p, (a, b, c))
         assert not orbit_symmetric_under(minus_m, p, (a, b, c))
@@ -384,7 +386,7 @@ def test_parabola_orbits():
 
 def test_orbit_invariants_are_exact_on_an_int_state():
     # c - b^2/a must not become a float when the state is given as ints
-    p, m = ApproachingProblem.creation(3), projected_involution(1, 2)
+    p, m = ApproachingProblem.creation(3), involution_m(1, 2).to_matrix(2)
     assert orbit_symmetric_under(m, p, (3, 1, 1))
     assert orbit_symmetric_under(m, p, (F(3), F(1), F(1)))
     with pytest.raises(TypeError):
@@ -419,7 +421,7 @@ def test_singular_s_stopping_the_flow_is_not_a_symmetry():
 def test_orbit_analysis_refuses_a_nonzero_diagonal():
     p = monomial_problem(1, 1, 0, 3)
     with pytest.raises(UnsupportedGenerator):
-        orbit_symmetric_under(projected_involution(1, 2), p, (F(1), F(0), F(0)))
+        orbit_symmetric_under(involution_m(1, 2).to_matrix(2), p, (F(1), F(0), F(0)))
 
 
 #: Flow times whose points, with x0, decide _orbit_by_invariants.
@@ -476,8 +478,8 @@ def test_m_maps_orbits_onto_themselves_at_every_dim(n, dim):
     # maps the orbit onto itself; -M flips the constant first coordinate
     p = monomial_problem(F(3, 2), F(-1, 2), n, dim)
     x0 = tuple(F((i + 1) % 2) for i in range(dim))
-    assert orbit_symmetric_under(projected_involution(1, dim - 1), p, x0)
-    assert not orbit_symmetric_under(projected_involution(-1, dim - 1), p, x0)
+    assert orbit_symmetric_under(involution_m(1, dim - 1).to_matrix(dim - 1), p, x0)
+    assert not orbit_symmetric_under(involution_m(-1, dim - 1).to_matrix(dim - 1), p, x0)
 
 
 def test_orbits_of_a_zero_diagonal_lie_element():
@@ -486,16 +488,16 @@ def test_orbits_of_a_zero_diagonal_lie_element():
     elt = LieElement(Fps([0, 1, 0, F(-2, 3), 0, 3], n), Fps([0, 2, 0, 0, 0, F(1, 2)], n))
     p = ApproachingProblem(elt, n)
     x0 = (F(1), F(0), F(2), F(0), F(1, 2), F(0))
-    m = projected_involution(1, n)
+    m = involution_m(1, n).to_matrix(n)
     assert orbit_symmetric_under(m, p, x0)
     assert orbit_symmetric_under(m.mul(exp_truncated_oracle(elt, 1, n)), p, x0)
-    assert not orbit_symmetric_under(projected_involution(-1, n), p, x0)
+    assert not orbit_symmetric_under(involution_m(-1, n).to_matrix(n), p, x0)
     assert not orbit_symmetric_under(TriMatrix.diagonal([F(1)] * n + [F(2)]), p, x0)
     # a LieElement problem takes the section route, a monomial one the characteristic curves
     genr = MonomialGenerator(F(3, 2), F(-1, 2), 2)
     monomial = ApproachingProblem(genr, 5)
     section = ApproachingProblem(genr.lie_element(5), 5)
-    for s in (m, projected_involution(-1, 5), exp_truncated_oracle(elt, F(1, 2), 5)):
+    for s in (m, involution_m(-1, 5).to_matrix(5), exp_truncated_oracle(elt, F(1, 2), 5)):
         assert orbit_symmetric_under(s, monomial, x0) == orbit_symmetric_under(s, section, x0)
     with pytest.raises(UnsupportedGenerator):
         orbit_symmetric_under(m, ApproachingProblem(LieElement(Fps.one(n), elt.alpha), n), x0)

@@ -17,7 +17,6 @@ from riordan.group import (
     is_involution,
     is_pseudo_involution,
 )
-from riordan.flows import projected_involution
 from riordan.lie import LieElement, exp_truncated_oracle
 
 from oracles import (
@@ -254,7 +253,7 @@ def test_exponential_diagonal_is_not_a_pseudo_involution_in_float_mode():
     diag = exp_truncated_oracle(LieElement(Fps.one(6), Fps.one(6)), 1.0, 5)
     for j in range(6):
         assert abs(diag.entry(j, j) - math.exp(j + 1)) < 1e-10
-    q = diag.mul(projected_involution(1, 5).as_float())
+    q = diag.mul(involution_m(1, 5).to_matrix(5).as_float())
     assert not q.mul(q).is_identity()
 
 
@@ -278,7 +277,7 @@ def test_conjugation_by_m_preserves_the_riordan_property():
 
 def test_matrix_involution_checks():
     for sign in (1, -1):
-        p = projected_involution(sign, 4)
+        p = involution_m(sign, 4).to_matrix(4)
         assert p.mul(p).is_identity()
     p = dense_pascal_section()
     assert not p.mul(p).is_identity()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riordan.fps import Fps
-from riordan.group import RiordanMatrix, TriMatrix, involution_m
+from riordan.group import InsufficientTruncation, RiordanMatrix, TriMatrix, involution_m
 from riordan.lie import (
     ExactModeIrrational,
     LieElement,
@@ -568,10 +568,22 @@ def test_exact_exponential_equals_the_dense_taylor_oracle(case):
 
 def test_only_the_float_exponential_takes_section_products(monkeypatch):
     calls = []
-    product = TriMatrix.mul
-    monkeypatch.setattr(TriMatrix, "mul", lambda a, b: calls.append(1) or product(a, b))
+
+    def counted(key, func):
+        return lambda *args: calls.append(key) or func(*args)
+
+    monkeypatch.setattr(TriMatrix, "mul", counted("mul", TriMatrix.mul))
+    monkeypatch.setattr(TriMatrix, "scale", counted("scale", TriMatrix.scale))
+    monkeypatch.setattr(LieElement, "to_matrix", counted("section", LieElement.to_matrix))
     elt = MonomialGenerator(F(3, 2), F(-1, 2), 1).lie_element(12)
     exp_truncated_oracle(elt, F(2, 3), 12)
-    assert calls == []
+    assert calls == []  # the exact exponential reads the series' numerators
     exp_truncated_oracle(elt, 2 / 3, 12)
-    assert calls
+    assert {"mul", "scale", "section"} <= set(calls)
+
+
+@pytest.mark.parametrize("t", [F(1, 2), 0.5])
+def test_exponential_refuses_a_section_beyond_the_truncation(t):
+    elt = MonomialGenerator(F(3, 2), F(-1, 2), 1).lie_element(5)
+    with pytest.raises(InsufficientTruncation):
+        exp_truncated_oracle(elt, t, 6)

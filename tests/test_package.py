@@ -31,8 +31,7 @@ def test_public_names_are_exactly_the_documented_set():
         "characteristic_solution", "conj_transport", "exp_monomial", "exp_truncated_oracle",
         # flows
         "ApproachingProblem", "UnsupportedGenerator", "check_symmetry", "check_time_reversal",
-        "equilibria_check", "orbit_symmetric_under", "project_flow",
-        "projected_involution", "pseudo_involution_flow_check", "rk4_integrate",
+        "equilibria_check", "orbit_symmetric_under", "project_flow", "rk4_integrate",
     }
     assert all(hasattr(riordan, name) for name in riordan.__all__)
 
