@@ -6,6 +6,7 @@ from .fps import (
     CompositionNeedsPositiveOrder,
     ExpNeedsZeroConstantTerm,
     Fps,
+    InsufficientTruncation,
     InvalidTruncation,
     NotAUnit,
     NotInvertibleUnderComposition,
@@ -14,7 +15,6 @@ from .fps import (
     as_fraction,
 )
 from .group import (
-    InsufficientTruncation,
     NotRiordan,
     RiordanMatrix,
     TriMatrix,

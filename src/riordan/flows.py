@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .fps import Fps
-from .group import InsufficientTruncation, TriMatrix
+from .group import TriMatrix
 from .lie import LieElement, MonomialGenerator, _taylor
 from .lie import characteristic_solution, exp_truncated_oracle
 
@@ -35,17 +35,11 @@ class ApproachingProblem:
     __slots__ = ("generator", "_lie", "n", "dim")
 
     def __init__(self, generator: MonomialGenerator | LieElement, n: int):
-        if n < 0:
-            raise ValueError(f"section index must be >= 0, got {n}")
         self.generator = generator
         if isinstance(generator, MonomialGenerator):
             self._lie = generator.lie_element(n)
         elif isinstance(generator, LieElement):
-            if generator.trunc < n:
-                raise InsufficientTruncation(
-                    f"generator trunc {generator.trunc} cannot fill an {n}-section"
-                )
-            self._lie = generator
+            self._lie = LieElement(generator.chi.truncate(n), generator.alpha.truncate(n))
         else:
             raise TypeError("generator must be a MonomialGenerator or LieElement")
         self.n = n

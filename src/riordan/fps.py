@@ -4,6 +4,9 @@ A series carries an explicit truncation order ``N`` and stores the
 coefficients of 1, x, ..., x**N; all arithmetic happens modulo x**(N+1).
 Combining series of different truncation orders truncates to the smaller
 one, so pipelines never silently promote unknown coefficients to zeros.
+``truncate`` alone checks an order against the stored one: a negative order
+raises InvalidTruncation, a higher one its subclass InsufficientTruncation,
+and every matrix section and prefix truncates its series first.
 
 Coefficients are exact :class:`fractions.Fraction` values at the API:
 ``Fps.coeffs`` is a tuple of Fractions in lowest terms.  Floats are
@@ -36,6 +39,10 @@ class SeriesError(ValueError):
 
 class InvalidTruncation(SeriesError):
     """Truncation order is negative or otherwise unusable."""
+
+
+class InsufficientTruncation(InvalidTruncation):
+    """Requested order exceeds the stored truncation order."""
 
 
 class NotAUnit(SeriesError):
@@ -163,9 +170,7 @@ class Fps:
 
     def prefix(self, upto: int) -> tuple[Fraction, ...]:
         """Coefficients 0..upto, for comparisons across truncation orders."""
-        if upto > self.trunc:
-            raise IndexError(f"prefix through {upto} exceeds trunc {self.trunc}")
-        return self._coeffs[: upto + 1]
+        return self.truncate(upto)._coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fps):
@@ -242,7 +247,7 @@ class Fps:
 
     def truncate(self, trunc: int) -> "Fps":
         if trunc > self.trunc:
-            raise InvalidTruncation(
+            raise InsufficientTruncation(
                 f"cannot extend trunc {self.trunc} to {trunc}: higher coefficients unknown"
             )
         if trunc < 0:

@@ -21,17 +21,13 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .fps import Fps
+from .fps import Fps, InsufficientTruncation
 
 _ONE = Fraction(1)
 
 
 class NotRiordan(ValueError):
     """Pair (f, g) fails the nonzero-constant-term requirement."""
-
-
-class InsufficientTruncation(ValueError):
-    """Requested matrix section exceeds the stored truncation order."""
 
 
 class TriMatrix:
@@ -184,12 +180,8 @@ class RiordanMatrix:
 
     def to_matrix(self, n: int) -> TriMatrix:
         """The (n+1) x (n+1) section; entry (i, j) = [x^i] x^j f / g^(j+1)."""
-        if n > self.trunc:
-            raise InsufficientTruncation(
-                f"matrix section {n} needs trunc >= {n}, have {self.trunc}"
-            )
-        invg = self._g.reciprocal()
-        col = self._f * invg
+        invg = self._g.truncate(n).reciprocal()
+        col = self._f.truncate(n) * invg
         rows = [[col[i]] for i in range(n + 1)]
         for j in range(1, n + 1):
             col = (col * invg).xmul()

@@ -17,7 +17,11 @@ independent route; it also gives the exact flows of `flows.project_flow`.
 the closed forms are tested against: for a rational t as a finite Taylor
 sum on the integer section read off the numerators of chi, alpha and t
 over one common denominator, with no Fraction section built; for a float
-t by float scaling and squaring of the section.
+t by float scaling and squaring of the section.  Each builder truncates its
+series to the section index first, so `Fps.truncate` refuses a negative or
+too deep index.  An exact exponential or flow exists only at t = 0 or on a
+zero diagonal; `_exact_time` decides that for every route and raises the
+one ExactModeIrrational.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .fps import Fps, Rational, _over_common_denominator, as_fraction
-from .group import InsufficientTruncation, RiordanMatrix, TriMatrix
+from .fps import Fps, InsufficientTruncation, Rational, _over_common_denominator, as_fraction
+from .group import RiordanMatrix, TriMatrix
 
 
 class ExactModeIrrational(ValueError):
@@ -75,11 +79,7 @@ class LieElement:
         return LieElement(self._chi.scale(c), self._alpha.scale(c))
 
     def to_matrix(self, n: int) -> TriMatrix:
-        if n > self.trunc:
-            raise InsufficientTruncation(
-                f"matrix section {n} needs trunc >= {n}, have {self.trunc}"
-            )
-        chi, alpha = self._chi, self._alpha
+        chi, alpha = self._chi.truncate(n), self._alpha.truncate(n)
         return TriMatrix(
             [[chi[i - j] + j * alpha[i - j] for j in range(i + 1)] for i in range(n + 1)]
         )
@@ -166,18 +166,13 @@ def exp_monomial(genr: MonomialGenerator, t: Rational, trunc: int) -> RiordanMat
     """Closed form of the one-parameter subgroup through L(a x^n, b x^n).
 
     Exact-rational output.  For n = 0 the entries are exp(t(a + jb)),
-    which is irrational unless t = 0 or a = b = 0; those cases raise
-    ExactModeIrrational and are served by `exp_truncated_oracle` at a
-    float t instead.
+    which is irrational unless t = 0 or a = b = 0; `_exact_time` refuses
+    the other cases, which `exp_truncated_oracle` serves at a float t.
     """
-    t = as_fraction(t)
     a, b, n = genr.a, genr.b, genr.n
+    t = _exact_time(t, n or not (a or b))
     if n == 0:
-        if t == 0 or (a == 0 and b == 0):
-            return RiordanMatrix.identity(trunc)
-        raise ExactModeIrrational(
-            "n = 0 gives diagonal entries exp(t(a + j b)); use float mode"
-        )
+        return RiordanMatrix.identity(trunc)
     if b == 0:
         return RiordanMatrix(Fps.monomial(a * t, n, trunc).exp(), Fps.one(trunc))
     base = Fps.one(trunc) - Fps.monomial(b * n * t, n, trunc)
@@ -194,14 +189,10 @@ def characteristic_solution(genr: MonomialGenerator, h: Fps, t: Rational) -> Fps
     (1 - bnt x^n)^(-a/(nb)); for b = 0 the curves are vertical and only
     the amplitude moves.  Independent of `exp_monomial` by construction.
     """
-    t = as_fraction(t)
     a, b, n = genr.a, genr.b, genr.n
+    t = _exact_time(t, n or not (a or b))
     if n == 0:
-        if t == 0 or (a == 0 and b == 0):
-            return h
-        raise ExactModeIrrational(
-            "n = 0 scales coefficients by exp(t(a + j b)); use float mode"
-        )
+        return h
     if b == 0:
         return Fps.monomial(a * t, n, h.trunc).exp() * h
     base = Fps.one(h.trunc) - Fps.monomial(b * n * t, n, h.trunc)
@@ -213,28 +204,39 @@ def characteristic_solution(genr: MonomialGenerator, h: Fps, t: Rational) -> Fps
 def exp_truncated_oracle(elt: LieElement, t, n: int) -> TriMatrix:
     """Exponential of the (n+1)-section of t * elt, independent of closed forms.
 
-    The type of t picks the regime, here and nowhere else.  A float t runs
-    float scaling-and-squaring (entrywise accuracy ~1e-12 at desk scale),
-    which raises OverflowError when an entry leaves the float range.  A
-    rational t gives Fractions: a zero-diagonal generator has nilpotent
-    sections, whose Taylor sum is finite, and t = 0 gives the identity.  A
-    nonzero diagonal at rational t != 0 has the irrational entries
-    exp(t(chi(0) + j alpha(0))) and raises ExactModeIrrational.
+    The series are truncated to n first, so a negative n raises
+    InvalidTruncation and n > elt.trunc InsufficientTruncation.  The type
+    of t picks the regime, here and nowhere else.  A float t runs float
+    scaling-and-squaring (entrywise accuracy ~1e-12 at desk scale), which
+    raises OverflowError when an entry leaves the float range.  A rational
+    t gives Fractions: a zero-diagonal generator has nilpotent sections,
+    whose Taylor sum is finite, and t = 0 gives the identity.  A nonzero
+    diagonal at rational t != 0 has irrational entries, and `_exact_time`
+    raises ExactModeIrrational.
     """
-    if n > elt.trunc:
-        raise InsufficientTruncation(f"matrix section {n} needs trunc >= {n}, have {elt.trunc}")
+    elt = LieElement(elt.chi.truncate(n), elt.alpha.truncate(n))
     if isinstance(t, float):
         return _expm_float(elt.to_matrix(n).as_float().scale(t))
+    return _exp_nilpotent_exact(elt, _exact_time(t, elt.has_zero_diagonal))
+
+
+def _exact_time(t: Rational, zero_diagonal: bool) -> Fraction:
+    """t as a Fraction; ExactModeIrrational unless t = 0 or the diagonal is zero.
+
+    The diagonal of e^(tL) is exp(t(chi(0) + j alpha(0))).  Every exact
+    exponential and flow asks here, so there is one refusal and one message.
+    """
     t = as_fraction(t)
-    if t and not elt.has_zero_diagonal:
+    if t and not zero_diagonal:
         raise ExactModeIrrational(
-            "a nonzero diagonal gives entries exp(t(chi(0) + j alpha(0))); use float mode"
+            "a nonzero diagonal at t != 0 gives irrational entries "
+            "exp(t(chi(0) + j alpha(0))); use float mode"
         )
-    return _exp_nilpotent_exact(elt, t, n)
+    return t
 
 
-def _exp_nilpotent_exact(elt: LieElement, t: Fraction, n: int) -> TriMatrix:
-    """exp of the (n+1)-section of t * elt, nilpotent or zero, as exact Fractions.
+def _exp_nilpotent_exact(elt: LieElement, t: Fraction) -> TriMatrix:
+    """exp of the full section of t * elt, nilpotent or zero, as exact Fractions.
 
     Reads the section of t * elt as N / d with N an integer section: the
     numerators of chi and alpha over their common denominator, times those
@@ -243,8 +245,8 @@ def _exp_nilpotent_exact(elt: LieElement, t: Fraction, n: int) -> TriMatrix:
     step rescales the integer sum by d k, and each entry is reduced once at
     the end.  Stops at the first all-zero power.
     """
-    dim = n + 1
-    nums, d = _over_common_denominator(elt.chi.coeffs[:dim] + elt.alpha.coeffs[:dim])
+    dim = elt.trunc + 1
+    nums, d = _over_common_denominator(elt.chi.coeffs + elt.alpha.coeffs)
     chi = [t.numerator * x for x in nums[:dim]]
     alpha = [t.numerator * x for x in nums[dim:]]
     d *= t.denominator

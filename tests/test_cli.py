@@ -17,9 +17,17 @@ import pytest
 
 from riordan import cli
 from riordan.cli import build_parser, main
+from riordan.flows import ApproachingProblem, project_flow
 from riordan.fps import Fps
 from riordan.group import RiordanMatrix, TriMatrix
-from riordan.lie import LieElement
+from riordan.lie import (
+    ExactModeIrrational,
+    LieElement,
+    MonomialGenerator,
+    characteristic_solution,
+    exp_monomial,
+    exp_truncated_oracle,
+)
 
 from oracles import dense, first_commutation_failure, recurrence_holds
 
@@ -324,6 +332,34 @@ def test_flow_exact_on_a_nonzero_diagonal_at_time_zero_echoes_state():
     code, out, err = run_cli(["flow", "--n", "0", "--dim", "3", "--x0", "1,2/3,3", "--t", "0"])
     assert (code, err) == (0, "")
     assert json.loads(out)["rows"] == [{"t": "0", "x": ["1", "2/3", "3"]}]
+
+
+def test_every_exact_mode_refusal_gives_the_one_message():
+    genr, t, h = MonomialGenerator(2, -1, 0), Fraction(1, 2), Fps([1, 2, 3])
+    messages = set()
+    for route in (
+        lambda: exp_monomial(genr, t, 2),
+        lambda: characteristic_solution(genr, h, t),
+        lambda: exp_truncated_oracle(LieElement(Fps([0, 1]), Fps([1, 1])), t, 1),
+        lambda: project_flow(ApproachingProblem(genr, 2), (1, 2, 3), t),
+    ):
+        with pytest.raises(ExactModeIrrational) as caught:
+            route()
+        messages.add(f"error: {caught.value}\n")
+    generator = ["--a=2", "--b=-1", "--n", "0", "--t=1/2"]
+    for argv in (["exp", *generator], ["flow", *generator, "--dim", "3", "--x0=1,2,3"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        messages.add(err)
+    assert len(messages) == 1 and "use float mode" in messages.pop()
+    # t = 0, and a = b = 0 at any t, stay exact: the identity in Fractions
+    for genr, t in ((genr, 0), (MonomialGenerator(0, 0, 0), t)):
+        assert exp_monomial(genr, t, 2) == RiordanMatrix.identity(2)
+        assert characteristic_solution(genr, h, t) == h
+        section = exp_truncated_oracle(genr.lie_element(2), t, 2)
+        assert section == TriMatrix.identity(3)
+        assert all(type(x) is Fraction for row in section.rows for x in row)
+        assert project_flow(ApproachingProblem(genr, 2), (1, 2, 3), t) == h.coeffs
 
 
 def test_flow_state_length_is_checked_before_the_regime():

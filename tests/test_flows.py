@@ -15,7 +15,7 @@ from riordan.flows import (
     project_flow,
     rk4_integrate,
 )
-from riordan.fps import Fps
+from riordan.fps import Fps, InsufficientTruncation, InvalidTruncation
 from riordan.group import RiordanMatrix, TriMatrix, involution_m, is_pseudo_involution
 from riordan.lie import (
     ExactModeIrrational,
@@ -578,3 +578,50 @@ def test_rational_t_takes_a_rational_state():
     assert got == (1, 2) and all(type(v) is Fraction for v in got)
     # a float t keeps the float regime, whatever the state's type
     assert project_flow(p, (F(1), 0), 2.0) == (1.0, 2.0)
+
+
+_TRUNC = 4
+_NILPOTENT = MonomialGenerator(F(3, 2), F(-1, 2), 1).lie_element(_TRUNC)
+_DIAGONAL = LieElement(Fps([1, 2, 0, 1, 3]), Fps([2, -1, 1, 0, 1]))
+_SECTION_BUILDERS = {
+    "riordan-to-matrix": lambda n: RiordanMatrix.pascal(_TRUNC).to_matrix(n),
+    "lie-to-matrix": lambda n: _DIAGONAL.to_matrix(n),
+    "oracle-zero-diagonal": lambda n: exp_truncated_oracle(_NILPOTENT, F(1, 2), n),
+    "oracle-nonzero-diagonal": lambda n: exp_truncated_oracle(_DIAGONAL, F(1, 2), n),
+    "oracle-float-t": lambda n: exp_truncated_oracle(_DIAGONAL, 0.5, n),
+    "problem-lie-element": lambda n: ApproachingProblem(_DIAGONAL, n),
+    "problem-monomial": lambda n: ApproachingProblem(MonomialGenerator(1, 1, 1), n),
+    "fps-prefix": lambda n: Fps.one(_TRUNC).prefix(n),
+}
+
+
+@pytest.mark.parametrize(
+    "builder,n",
+    [(b, -1) for b in _SECTION_BUILDERS]
+    + [(b, _TRUNC + 1) for b in _SECTION_BUILDERS if b != "problem-monomial"],
+)
+def test_a_section_index_outside_the_truncation_is_an_invalid_truncation(builder, n):
+    # A monomial problem builds its own series at order n, so only n < 0 is out of range.
+    with pytest.raises(InvalidTruncation) as caught:
+        _SECTION_BUILDERS[builder](n)
+    assert isinstance(caught.value, InsufficientTruncation) == (n > _TRUNC)
+
+
+def test_sections_below_the_stored_order_are_top_left_blocks():
+    rng = Random(2801)
+    t = F(-2, 3)
+    for _ in range(3):
+        chi, alpha = rand_coeffs(rng, 10), rand_coeffs(rng, 10)
+        chi[0] = alpha[0] = F(0)
+        elt = LieElement(Fps(chi), Fps(alpha))
+        r = RiordanMatrix(Fps(rand_coeffs(rng, 10, unit=True)), Fps(rand_coeffs(rng, 10, unit=True)))
+        full, full_exp, full_r = elt.to_matrix(10), exp_truncated_oracle(elt, t, 10), r.to_matrix(10)
+        for n in range(11):
+            assert elt.to_matrix(n) == full.principal(n + 1)
+            assert r.to_matrix(n) == full_r.principal(n + 1)
+            assert exp_truncated_oracle(elt, t, n) == full_exp.principal(n + 1)
+            x0 = rand_coeffs(rng, n)
+            short = LieElement(elt.chi.truncate(n), elt.alpha.truncate(n))
+            got = project_flow(ApproachingProblem(elt, n), x0, t)
+            assert got == project_flow(ApproachingProblem(short, n), x0, t)
+            assert got == full_exp.principal(n + 1).matvec(x0)
