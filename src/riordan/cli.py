@@ -2,9 +2,10 @@
 
 Subcommands: triangle, exp, apply, flow, check.  Output is JSON by
 default (CSV via --format csv); identical invocations produce identical
-bytes.  Each subcommand takes only the shared flags it reads.  Exit
-codes: 0 success or check passed, 1 check failed, 2 usage or parse error
-or float overflow, 3 exact-mode violation.
+bytes.  Each subcommand takes only the shared flags it reads, and each
+check suite only the check flags it reads.  Exit codes: 0 success or
+check passed, 1 check failed, 2 usage or parse error or float overflow,
+3 exact-mode violation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,19 @@ from .lie import (
 from .flows import ApproachingProblem, project_flow, rk4_integrate
 
 NAMED_TRIANGLES = ("pascal", "identity", "m", "minus-m")
-CHECKS = ("pseudo-involution", "symmetry", "time-reversal", "oracle-exp", "ftrm", "a-sequence")
+#: The flags each check suite reads.  Where a suite reads --depth, --dim - 1
+#: stands in for an absent --depth; every suite echoes --seed.
+_CHECK_READS = {
+    "pseudo-involution": {"a", "b", "n", "t", "depth"},
+    "symmetry": {"a", "b", "n", "dim"},
+    "time-reversal": {"a", "b", "n", "dim"},
+    "oracle-exp": {"a", "b", "n", "t", "trunc"},
+    "ftrm": {"dim", "count"},
+    "a-sequence": {"depth", "count"},
+}
+CHECKS = tuple(_CHECK_READS)
+#: Defaults of the check flags, applied where a suite reads the flag.
+_CHECK_DEFAULTS = {"a": "1", "b": "1", "n": 1, "t": "1", "dim": 8, "count": 20}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -113,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("check", "run a named invariant suite", "--trunc", "--seed")
     p.set_defaults(format="json")
     p.add_argument("what", choices=CHECKS)
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", default="1")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--t", default="1")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.add_argument("--n", type=int)
+    p.add_argument("--t")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--count", type=int)
 
     return parser
 
@@ -141,6 +154,8 @@ def cmd_triangle(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
     n = args.rows - 1
+    if args.name is not None and (args.f is not None or args.g is not None):
+        raise ValueError(f"triangle {args.name!r} takes no --f or --g")
     if args.name is None:
         if args.f is None or args.g is None:
             raise ValueError("give a triangle name or both --f and --g")
@@ -300,12 +315,32 @@ def _rand_series(rng: Random, trunc: int, *, unit: bool) -> Fps:
     return Fps(cs, trunc)
 
 
+def _check_flags_read(args) -> set:
+    """The flags suite args.what reads, defaults set; refuses any other flag given."""
+    reads = set(_CHECK_READS[args.what])
+    if "depth" in reads and args.depth is None:
+        reads.add("dim")
+    if args.what in ("symmetry", "time-reversal"):
+        reads.add("t")  # parsed but unread: the perfbench argvs still pass it
+    for flag in ("trunc", "a", "b", "n", "t", "dim", "depth", "count"):
+        if getattr(args, flag) is not None and flag not in reads:
+            suites = ", ".join(what for what in CHECKS if flag in _CHECK_READS[what])
+            raise ValueError(f"--{flag} is read only by check {suites}")
+        if flag in reads and getattr(args, flag) is None:
+            setattr(args, flag, _CHECK_DEFAULTS.get(flag))
+    if "depth" in reads and args.depth is None:
+        args.depth = max(args.dim - 1, 1)
+    return reads
+
+
 def cmd_check(args) -> int:
-    genr = MonomialGenerator(parse_rational(args.a), parse_rational(args.b), args.n)
-    t = parse_rational(args.t)
-    depth = args.depth if args.depth is not None else max(args.dim - 1, 1)
-    if args.trunc is not None and args.what != "oracle-exp":
-        raise ValueError("--trunc is read only by check oracle-exp")
+    reads = _check_flags_read(args)
+    genr = t = None
+    if "n" in reads:
+        genr = MonomialGenerator(parse_rational(args.a), parse_rational(args.b), args.n)
+    if "t" in reads:
+        t = parse_rational(args.t)
+    depth = args.depth
     # Sizes at which a suite would examine no case and pass vacuously.
     if args.what in ("pseudo-involution", "a-sequence") and depth < 1:
         raise ValueError(f"--depth must be >= 1, got {depth}")

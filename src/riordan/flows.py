@@ -4,14 +4,14 @@ Projecting a Lie-algebra element to its (n+1) x (n+1) section turns the
 series equation gamma' = L(gamma) into the linear ODE x' = A x on
 R^(n+1).  The section acting on a state is the series action on its
 generating series, so the exact flow of a monomial generator comes from
-the characteristic curves, and sections only verify it: a problem builds
-its section only when RK4, a float flow or a symmetry test reads it.
-This module computes flow states (exactly, in floats or by RK4), finds
-equilibria, and decides whether a given involution is a symmetry
-(S A S^-1 = A) or a time-reversal symmetry (S A S^-1 = -A) of a problem,
-at the generator level, and whether a lower-triangular S maps the orbit
-of a nilpotent flow onto itself.  The `flow` command of the CLI samples
-and prints a flow at several times.
+the characteristic curves, and sections only verify it: only RK4 and a
+float flow build one.  This module computes flow states (exactly, in
+floats or by RK4), finds equilibria, decides whether a Riordan matrix S
+is a symmetry (S A S^-1 = A) or a time reversal (S A S^-1 = -A) of a
+problem, and whether a lower-triangular S maps the orbit of a nilpotent
+flow onto itself.  S L S^-1 is conj_transport(S|n, L), with S|n the pair
+of S truncated to n; the section reads its chi through x^n and its alpha
+through x^(n-1), so the symmetry tests compare exactly those.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import math
 from fractions import Fraction
 
 from .fps import Fps
-from .group import TriMatrix
+from .group import RiordanMatrix, TriMatrix
 from .lie import LieElement, MonomialGenerator, _taylor
-from .lie import characteristic_solution, exp_truncated_oracle
+from .lie import characteristic_solution, conj_transport, exp_truncated_oracle
 
 
 class UnsupportedGenerator(ValueError):
@@ -44,11 +44,6 @@ class ApproachingProblem:
             raise TypeError("generator must be a MonomialGenerator or LieElement")
         self.n = n
         self.dim = n + 1
-
-    @property
-    def matrix(self) -> TriMatrix:
-        """The section A, built afresh on each read; exact monomial flows read none."""
-        return self._lie.to_matrix(self.n)
 
     @classmethod
     def creation(cls, dim: int) -> "ApproachingProblem":
@@ -89,7 +84,7 @@ def rk4_integrate(problem: ApproachingProblem, x0, t: float, steps: int):
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x = tuple(float(v) for v in problem._check_state(x0))
-    step = _taylor(problem.matrix.as_float().scale(float(t) / steps), 4)
+    step = _taylor(problem._lie.to_matrix(problem.n).as_float().scale(float(t) / steps), 4)
     for _ in range(steps):
         x = step.matvec(x)
     if not all(map(math.isfinite, x)):
@@ -110,19 +105,23 @@ def equilibria_check(problem: ApproachingProblem, x) -> bool:
     return not any(_velocity(problem, x))
 
 
-def check_symmetry(s: TriMatrix, problem: ApproachingProblem) -> bool:
-    """S A S^-1 = A, tested as S A = A S to avoid inverting S."""
-    a = problem.matrix
-    return s.mul(a) == a.mul(s)
+def check_symmetry(s: RiordanMatrix, problem: ApproachingProblem) -> bool:
+    """S A S^-1 = A; a TriMatrix S raises TypeError, too shallow an S InsufficientTruncation."""
+    return _conjugates_to(s, problem, 1)
 
 
-def check_time_reversal(s: TriMatrix, problem: ApproachingProblem) -> bool:
-    """S A S^-1 = -A, tested as S A = -A S to avoid inverting S.
+def check_time_reversal(s: RiordanMatrix, problem: ApproachingProblem) -> bool:
+    """S A S^-1 = -A, as in check_symmetry; then S e^(tA) = e^(-tA) S for every t."""
+    return _conjugates_to(s, problem, -1)
 
-    In exact arithmetic this gives S e^(tA) = e^(-tA) S for every t.
-    """
-    a = problem.matrix
-    return s.mul(a) == a.mul(s).scale(Fraction(-1))
+
+def _conjugates_to(s: RiordanMatrix, problem: ApproachingProblem, sign: int) -> bool:
+    if not isinstance(s, RiordanMatrix):
+        raise TypeError("S must be a RiordanMatrix")
+    n = problem.n
+    moved = conj_transport(RiordanMatrix(s.f.truncate(n), s.g.truncate(n)), problem._lie)
+    want = problem._lie.scale(sign)
+    return moved.chi == want.chi and moved.alpha.coeffs[:n] == want.alpha.coeffs[:n]
 
 
 def orbit_symmetric_under(s: TriMatrix, problem: ApproachingProblem, x0) -> bool:

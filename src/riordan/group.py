@@ -4,8 +4,8 @@ A Riordan matrix is written here as a pair ``T(f|g)`` of series with
 nonzero constant terms: column j of the infinite matrix has generating
 function ``x^j f / g^(j+1)``, so the matrix is lower triangular with the
 geometric progression ``f(0)/g(0)^(j+1)`` on the diagonal.  Products,
-inverses and the action on series all have closed forms at the series
-level; :class:`TriMatrix` holds the finite sections used to cross-check
+inverses, the action on series and the involution test all work on the
+pair; :class:`TriMatrix` holds the finite sections used to cross-check
 them.
 
 Sections are exact (Fraction entries) everywhere except three places that
@@ -113,9 +113,6 @@ class TriMatrix:
         if len(vec) != self.dim:
             raise ValueError("vector length must match matrix dimension")
         return tuple(sum(map(mul, row, vec)) for row in self._rows)
-
-    def is_identity(self) -> bool:
-        return self == TriMatrix.identity(self.dim)
 
     def as_float(self) -> "TriMatrix":
         return TriMatrix([[float(x) for x in r] for r in self._rows])
@@ -237,8 +234,11 @@ def involution_m(sign: int, trunc: int) -> RiordanMatrix:
 
 
 def is_involution(r: RiordanMatrix, depth: int) -> bool:
-    """True iff the depth-section of R*R is the identity."""
-    return (r * r).to_matrix(depth).is_identity()
+    """True iff the depth-section of R*R = T(F|G) is the identity: its column j
+    is x^j F / G^(j+1), so iff F = G mod x^(depth+1) and G = 1 mod x^depth."""
+    square = r * r
+    f, g = square.f.truncate(depth), square.g.truncate(depth)
+    return f == g and g.coeffs[:depth] == Fps.one(depth).coeffs[:depth]
 
 
 def is_pseudo_involution(r: RiordanMatrix, depth: int) -> bool:

@@ -147,7 +147,7 @@ def test_criterion_6_symmetry_and_time_reversal():
                 continue
             problem = ApproachingProblem(MonomialGenerator(F(2), F(-3), n), dim - 1)
             for sign in (1, -1):
-                s = involution_m(sign, dim - 1).to_matrix(dim - 1)
+                s = involution_m(sign, dim - 1)
                 if n % 2 == 0:
                     if not check_symmetry(s, problem) or check_time_reversal(s, problem):
                         ok = False

@@ -115,6 +115,12 @@ def test_pretty_is_refused_under_csv(argv):
     assert run_cli(argv + ["--format", "csv"])[0] == 0
 
 
+@pytest.mark.parametrize("extra", [["--f", "2", "--g", "1"], ["--f", "2"], ["--g", "1,-1"]])
+def test_triangle_name_with_coefficients_is_refused(extra):
+    code, out, err = run_cli(["triangle", "pascal", "--rows", "3", *extra])
+    assert (code, out, err) == (2, "", "error: triangle 'pascal' takes no --f or --g\n")
+
+
 def test_unknown_triangle_name_is_a_usage_error():
     code, _, err = run_cli(["triangle", "cantor", "--rows", "3"])
     assert code == 2
@@ -551,6 +557,67 @@ def test_check_refuses_trunc_outside_oracle_exp(argv):
     code, out, err = run_cli(argv + ["--trunc", "3"])
     assert (code, out, err) == (2, "", "error: --trunc is read only by check oracle-exp\n")
     assert run_cli(argv)[0] == 0
+
+
+#: The flags each suite reads, and the values the sweep below passes.
+SUITE_FLAGS = {
+    "pseudo-involution": {"a", "b", "n", "t", "depth"},
+    "symmetry": {"a", "b", "n", "dim"},
+    "time-reversal": {"a", "b", "n", "dim"},
+    "oracle-exp": {"a", "b", "n", "t", "trunc"},
+    "ftrm": {"dim", "count"},
+    "a-sequence": {"depth", "count"},
+}
+FLAG_VALUES = {
+    "a": "2", "b": "-1", "n": "1", "t": "1/2", "dim": "3", "depth": "2", "count": "1", "trunc": "3"
+}
+
+
+@pytest.mark.parametrize("what", list(SUITE_FLAGS))
+def test_check_refuses_every_flag_its_suite_does_not_read(what):
+    # --dim stands in for an absent --depth; symmetry suites still take an unread --t
+    for flag, value in FLAG_VALUES.items():
+        accepted = SUITE_FLAGS[what] | {"seed"}
+        accepted |= {"dim"} if "depth" in accepted else set()
+        accepted |= {"t"} if what in ("symmetry", "time-reversal") else set()
+        code, out, err = run_cli(["check", what, f"--{flag}", value, "--seed", "2"])
+        if flag in accepted:
+            assert code in (0, 1) and err == "" and json.loads(out)["params"]["seed"] == 2
+        else:
+            suites = ", ".join(w for w in SUITE_FLAGS if flag in SUITE_FLAGS[w])
+            assert (code, out, err) == (2, "", f"error: --{flag} is read only by check {suites}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check", "pseudo-involution", "--depth", "2", "--dim", "5"], "--dim"),
+        (["check", "a-sequence", "--depth", "2", "--dim", "5"], "--dim"),
+        (["check", "ftrm", "--dim", "3", "--count", "1", "--a", "1/0"], "--a"),
+    ],
+)
+def test_check_refuses_an_unread_flag_before_parsing_it(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {flag} is read only by check ")
+
+
+GENERATOR = {"a": "1", "b": "1", "n": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        (["check", "pseudo-involution"], GENERATOR | {"t": "1", "depth": 7}),
+        (["check", "pseudo-involution", "--dim", "1"], GENERATOR | {"t": "1", "depth": 1}),
+        (["check", "symmetry", "--n", "2"], GENERATOR | {"n": 2, "dim": 8}),
+        (["check", "oracle-exp"], GENERATOR | {"t": "1", "trunc": 12}),
+        (["check", "ftrm", "--count", "1"], {"dim": 8, "count": 1}),
+        (["check", "a-sequence", "--dim", "5", "--count", "1"], {"depth": 4, "count": 1}),
+    ],
+)
+def test_check_applies_the_defaults_of_the_flags_its_suite_reads(argv, params):
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == "" and json.loads(out)["params"] == params | {"seed": 0}
 
 
 def test_check_unknown_suite_is_a_usage_error():

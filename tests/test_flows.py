@@ -1,6 +1,7 @@
 """Finite approximating systems: flows, equilibria, symmetry structure."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -16,7 +17,13 @@ from riordan.flows import (
     rk4_integrate,
 )
 from riordan.fps import Fps, InsufficientTruncation, InvalidTruncation
-from riordan.group import RiordanMatrix, TriMatrix, involution_m, is_pseudo_involution
+from riordan.group import (
+    RiordanMatrix,
+    TriMatrix,
+    involution_m,
+    is_involution,
+    is_pseudo_involution,
+)
 from riordan.lie import (
     ExactModeIrrational,
     LieElement,
@@ -27,6 +34,7 @@ from riordan.lie import (
 
 from oracles import (
     dense,
+    first_commutation_failure,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -42,6 +50,12 @@ F = Fraction
 
 def monomial_problem(a, b, n, dim):
     return ApproachingProblem(MonomialGenerator(F(a), F(b), n), dim - 1)
+
+
+def generator_section(p):
+    """The section A of a problem, built from its generator."""
+    genr = p.generator
+    return (genr if isinstance(genr, LieElement) else genr.lie_element(p.n)).to_matrix(p.n)
 
 
 # -- exact flow evaluation ---------------------------------------------------
@@ -198,7 +212,7 @@ def test_rk4_matches_its_stage_form():
     for case in range(240):
         p, x0, t, steps = _rk4_case(rng, case)
         got = rk4_integrate(p, x0, float(t), steps)
-        want = rk4_stages(dense(p.matrix.as_float()), x0, t, steps)
+        want = rk4_stages(dense(generator_section(p).as_float()), x0, t, steps)
         err = max(abs(g - w) for g, w in zip(got, want))
         assert err <= 1e-12 * max(map(abs, want)), (case, p.dim, t, steps)
         if t == 0:
@@ -272,29 +286,29 @@ def test_equilibria_are_unstable_liapunov_witness():
 
 def test_m_is_a_symmetry_for_even_subdiagonals():
     p = monomial_problem(1, 1, 2, 4)
-    assert check_symmetry(involution_m(1, 3).to_matrix(3), p)
+    assert check_symmetry(involution_m(1, 3), p)
 
 
 def test_minus_identity_is_a_symmetry_of_the_creation_problem():
     p = ApproachingProblem.creation(4)
-    minus_i = TriMatrix.diagonal([F(-1)] * 4)
+    minus_i = RiordanMatrix(Fps([-1], 3), Fps.one(3))  # T(-1|1) = -I
     assert check_symmetry(minus_i, p)
 
 
 def test_m_is_not_a_symmetry_for_odd_subdiagonals():
     p = ApproachingProblem.creation(4)
-    assert not check_symmetry(involution_m(1, 3).to_matrix(3), p)
+    assert not check_symmetry(involution_m(1, 3), p)
 
 
 def test_m_is_a_time_reversal_for_the_creation_problem():
     p = ApproachingProblem.creation(2)
-    assert check_time_reversal(involution_m(1, 1).to_matrix(1), p)
-    assert check_time_reversal(involution_m(-1, 1).to_matrix(1), p)
+    assert check_time_reversal(involution_m(1, 1), p)
+    assert check_time_reversal(involution_m(-1, 1), p)
 
 
 def test_identity_is_not_a_time_reversal():
     p = ApproachingProblem.creation(3)
-    assert not check_time_reversal(TriMatrix.identity(3), p)
+    assert not check_time_reversal(RiordanMatrix.identity(2), p)
 
 
 def test_symmetry_vs_time_reversal_by_parity():
@@ -302,13 +316,101 @@ def test_symmetry_vs_time_reversal_by_parity():
         for a, b in ((F(1), F(1)), (F(-2), F(3))):
             p = ApproachingProblem(MonomialGenerator(a, b, n), 9)
             for sign in (1, -1):
-                s = involution_m(sign, 9).to_matrix(9)
+                s = involution_m(sign, 9)
                 if n % 2 == 0:
                     assert check_symmetry(s, p)
                     assert not check_time_reversal(s, p)
                 else:
                     assert check_time_reversal(s, p)
                     assert not check_symmetry(s, p)
+
+
+def _symmetry_case(rng):
+    """A seeded problem and Riordan S at trunc 0-6: S is +-M, +-I, M exp(uL) or dense."""
+    n = rng.randint(0, 6)
+    genr = MonomialGenerator(rand_fraction(rng), rand_fraction(rng), rng.randint(1, 3))
+    if rng.random() < 0.7:
+        p = ApproachingProblem(genr, n)
+    else:
+        chi, alpha = Fps(rand_coeffs(rng, n), n), Fps(rand_coeffs(rng, n), n)
+        p = ApproachingProblem(LieElement(chi, alpha), n)
+    trunc = n + rng.choice((0, 2))  # S deeper than the section is truncated to n
+    sign = rng.choice((1, -1))
+    kind = rng.randrange(4)
+    if kind == 0:
+        s = involution_m(sign, trunc)
+    elif kind == 1:
+        s = RiordanMatrix(Fps([sign], trunc), Fps.one(trunc))
+    elif kind == 2:
+        s = involution_m(1, trunc) * exp_monomial(genr, rand_fraction(rng), trunc)
+    else:
+        s = RiordanMatrix(
+            Fps(rand_coeffs(rng, trunc, unit=True), trunc),
+            Fps(rand_coeffs(rng, trunc, unit=True), trunc),
+        )
+    return p, s
+
+
+def test_symmetry_predicates_and_is_involution_match_the_dense_oracles():
+    rng = Random(30)
+    seen = set()
+    for _ in range(80):
+        p, s = _symmetry_case(rng)
+        a, d = dense(generator_section(p)), dense(s.to_matrix(p.n))
+        sym = first_commutation_failure(d, a, 1) is None
+        rev = first_commutation_failure(d, a, -1) is None
+        inv = mat_mul(d, d) == mat_identity(p.dim)
+        got = (check_symmetry(s, p), check_time_reversal(s, p), is_involution(s, p.n))
+        assert got == (sym, rev, inv)
+        seen.update({("sym", sym), ("rev", rev), ("inv", inv)})
+    assert seen == {(k, v) for k in ("sym", "rev", "inv") for v in (True, False)}
+
+
+def test_m_exp_ul_reverses_odd_flows_and_commutes_with_even_ones():
+    # M exp(uL) M = exp(u M L M) = exp(+-uL): an involution reversing L for odd n,
+    # a symmetry whose square exp(2uL) is not the identity for even n
+    for n, a, b in product((1, 2, 3), (F(1), F(-2), F(3, 2)), (F(1), F(0), F(-1, 2))):
+        genr = MonomialGenerator(a, b, n)
+        p = ApproachingProblem(genr, 12)
+        for u in (F(1), F(-2, 3), F(5)):
+            s = involution_m(1, 12) * exp_monomial(genr, u, 12)
+            odd = n % 2 == 1
+            assert check_time_reversal(s, p) is odd and check_symmetry(s, p) is not odd
+            assert is_involution(s, 12) is odd
+
+
+def test_symmetry_predicates_and_is_involution_build_no_section(monkeypatch):
+    calls = []
+    for cls, name in ((TriMatrix, "mul"), (RiordanMatrix, "to_matrix"), (LieElement, "to_matrix")):
+        monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    p = ApproachingProblem(MonomialGenerator(F(2), F(-3), 1), 24)
+    s = involution_m(1, 24) * exp_monomial(MonomialGenerator(F(2), F(-3), 1), F(1, 2), 24)
+    assert check_time_reversal(s, p) and not check_symmetry(s, p) and is_involution(s, 24)
+    assert calls == []
+
+
+def test_symmetry_predicates_refuse_a_section_or_a_shallow_s():
+    p = ApproachingProblem.creation(4)
+    for predicate in (check_symmetry, check_time_reversal):
+        with pytest.raises(TypeError):
+            predicate(involution_m(1, 3).to_matrix(3), p)
+        with pytest.raises(InsufficientTruncation):
+            predicate(involution_m(1, 2), p)
+    with pytest.raises(InvalidTruncation) as exc:
+        is_involution(involution_m(1, 3), -1)
+    assert exc.type is InvalidTruncation
+
+
+def test_symmetry_tests_read_alpha_through_the_last_cell_the_section_holds():
+    # alpha = x^k sits in the cells (k + j, j) with weight j: at n = k + 1 only in (n, 1),
+    # at n = k in no cell, so the section is zero and both tests hold
+    for k in (1, 2, 3):
+        odd = k % 2 == 1
+        for n in (k + 1, k):
+            p = ApproachingProblem(MonomialGenerator(F(0), F(1), k), n)
+            m = involution_m(1, n)
+            assert check_symmetry(m, p) is (n == k or not odd)
+            assert check_time_reversal(m, p) is (n == k or odd)
 
 
 def test_time_reversal_transforms_solutions():
@@ -446,7 +548,7 @@ def test_orbit_rule_matches_the_creation_family_invariants():
     rng = Random(48)
     entries = (F(0), F(0), F(1), F(-1), F(2), F(-1, 3))
     problems = {dim: ApproachingProblem.creation(dim) for dim in (2, 3)}
-    sections = {dim: dense(p.matrix) for dim, p in problems.items()}
+    sections = {dim: dense(generator_section(p)) for dim, p in problems.items()}
     flow_maps = {dim: [nilpotent_exp(a, t) for t in _ORBIT_TIMES] for dim, a in sections.items()}
     seen = []
     for case in range(300):

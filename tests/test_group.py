@@ -22,6 +22,7 @@ from riordan.lie import LieElement, exp_truncated_oracle
 from oracles import (
     dense,
     lower_tri_inverse,
+    mat_identity,
     mat_mul,
     mat_vec,
     rand_coeffs,
@@ -240,6 +241,18 @@ def test_identity_is_an_involution():
     assert is_involution(RiordanMatrix.identity(10), 8)
 
 
+def test_involution_reads_g_only_below_the_depth():
+    # T(h|h)^2 = T(G|G) with h = 1 + x^d has G = 1 + 2x^d + ...; its column j is
+    # x^j / G^j, so the depth-d section is the identity and the depth-(d+1) one is not
+    for d in range(4):
+        h = Fps.one(d + 1) + Fps.monomial(1, d, d + 1)
+        r = RiordanMatrix(h, h)
+        assert is_involution(r, d) and not is_involution(r, d + 1)
+        square = dense((r * r).to_matrix(d + 1))
+        assert [row[: d + 1] for row in square[: d + 1]] == mat_identity(d + 1)
+        assert square != mat_identity(d + 2)
+
+
 def test_pascal_is_a_pseudo_involution():
     assert is_pseudo_involution(RiordanMatrix.pascal(20), 8)
 
@@ -254,7 +267,7 @@ def test_exponential_diagonal_is_not_a_pseudo_involution_in_float_mode():
     for j in range(6):
         assert abs(diag.entry(j, j) - math.exp(j + 1)) < 1e-10
     q = diag.mul(involution_m(1, 5).to_matrix(5).as_float())
-    assert not q.mul(q).is_identity()
+    assert q.mul(q) != TriMatrix.identity(6)
 
 
 def test_conjugation_by_m_preserves_the_riordan_property():
@@ -278,9 +291,9 @@ def test_conjugation_by_m_preserves_the_riordan_property():
 def test_matrix_involution_checks():
     for sign in (1, -1):
         p = involution_m(sign, 4).to_matrix(4)
-        assert p.mul(p).is_identity()
+        assert p.mul(p) == TriMatrix.identity(5)
     p = dense_pascal_section()
-    assert not p.mul(p).is_identity()
+    assert p.mul(p) != TriMatrix.identity(p.dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 13])
